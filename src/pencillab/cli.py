@@ -515,8 +515,14 @@ def cmd_report(args) -> int:
         }
         cert = lhp_certificate(pp, sample_budget=args.samples, falsify_budget=args.samples, seed=seed)
         results["certify"] = _certificate_json(cert)
+        # ks is the structure of pp.pencil() when the file holds the posH parts
         results["nocommon_chain"] = _chain_json(
-            nocommon_chain_report(pp, sample_budget=args.samples, seed=seed)
+            nocommon_chain_report(
+                pp,
+                sample_budget=args.samples,
+                seed=seed,
+                structure=ks if isinstance(obj, PoshPencil) else None,
+            )
         )
     rep = _report(
         args.file,

@@ -6,9 +6,13 @@ The pencil is processed in the minus convention. Three deflation phases:
    the structure at infinity, leaving a core whose lead has full column rank.
 2. The same staircase applied to the conjugate-transposed core peels the
    left singular blocks, leaving a square regular core with invertible lead.
-3. QZ on the core gives the finite eigenvalues; these are clustered, and the
-   partial multiplicities of each cluster are read off as the infinite
-   structure of the shifted-and-reversed pencil, reusing the one staircase.
+3. One QZ call on the core gives the finite eigenvalues with their left and
+   right eigenvectors.  An eigenvalue whose first-order perturbation disk
+   (radius from its condition number at the carried rank floor) is well
+   apart from every other eigenvalue's disk is certified simple.  The rest
+   are clustered, and the partial multiplicities of each true cluster and
+   each uncertified singleton are read off as the infinite structure of the
+   shifted-and-reversed pencil, reusing the one staircase.
 
 An independent transposed staircase run on the full pencil cross-checks the
 left minimal indices and the infinite structure; disagreement between the
@@ -18,7 +22,7 @@ answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -166,16 +170,18 @@ def _decide_rank(
     return rank
 
 
-def _staircase_inf(E, A, policy: RankPolicy, extra_floor: float = 0.0):
+def _staircase_inf(E, A, policy: RankPolicy, extra_floor: float = 0.0, scale=None):
     """Deflate the structure at infinity and the right singular part.
 
     Works on the pencil lambda*E - A. Returns the step counts (s_k, t_k)
     where s_k = dim ker E and t_k = rank(A restricted to that kernel) at
     step k, together with the deflated core whose lead has trivial kernel.
+    scale, when given, must be max(||E||, ||A||) of the input.
     """
     E = np.array(E, dtype=np.complex128)
     A = np.array(A, dtype=np.complex128)
-    scale = max(spectral_norm(E), spectral_norm(A))
+    if scale is None:
+        scale = max(spectral_norm(E), spectral_norm(A))
     # roundoff contaminates deflated submatrices at the scale of the whole
     # problem, so rank cutoffs keep the entry dimension even as steps shrink
     dim0 = max(max(E.shape), 1)
@@ -257,7 +263,17 @@ def _counts_from_staircase(s_list, t_list):
 
 
 def _union_find_clusters(values, factor):
-    n = len(values)
+    """Index groups of values linked by |vi - vj| <= factor*(1 + max(|vi|, |vj|)).
+
+    Members are listed in ascending index order and groups are sorted by
+    their mean, real part first.
+    """
+    v = np.asarray(values, dtype=np.complex128)
+    n = len(v)
+    mag = np.abs(v)
+    near = np.abs(v[:, None] - v[None, :]) <= factor * (
+        1.0 + np.maximum(mag[:, None], mag[None, :])
+    )
     parent = list(range(n))
 
     def find(i):
@@ -266,28 +282,28 @@ def _union_find_clusters(values, factor):
             i = parent[i]
         return i
 
+    for i, j in zip(*np.nonzero(np.triu(near, 1))):
+        ri, rj = find(int(i)), find(int(j))
+        if ri != rj:
+            parent[ri] = rj
+    groups: dict[int, list[int]] = {}
     for i in range(n):
-        for j in range(i + 1, n):
-            radius = factor * (1.0 + max(abs(values[i]), abs(values[j])))
-            if abs(values[i] - values[j]) <= radius:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups: dict[int, list[complex]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(values[i])
+        groups.setdefault(find(i), []).append(i)
     out = list(groups.values())
-    out.sort(key=lambda g: (np.mean(g).real, np.mean(g).imag))
+    out.sort(key=lambda g: (np.mean(v[g]).real, np.mean(v[g]).imag))
     return out
 
 
-def _cluster_multiplicities(E, A, rep, count, radius_abs, policy, carried_floor=0.0):
+def _cluster_multiplicities(
+    E, A, rep, count, radius_abs, policy, carried_floor, norm_e, norm_a
+):
     """Partial multiplicities of one eigenvalue cluster, or None on failure.
 
     Reads the sizes as the infinite structure of lambda*(A - rep*E) - E.
     The rank floor starts at the cluster radius scale and is escalated until
     the sizes account for every cluster member; the caller escalates the
-    clustering radius itself when no floor works.
+    clustering radius itself when no floor works.  norm_e and norm_a are
+    the spectral norms of E and A.
     """
     if abs(rep) > 1.0 and radius_abs < abs(rep) / 2.0:
         # large eigenvalues are badly scaled under a direct shift; the
@@ -301,15 +317,18 @@ def _cluster_multiplicities(E, A, rep, count, radius_abs, policy, carried_floor=
             2.0 * radius_abs / abs(rep) ** 2,
             policy,
             carried_floor,
+            norm_a,
+            norm_e,
         )
     b = A - rep * E
     # moving a cluster member to rep perturbs b by at most radius_abs * ||E||;
     # scaling by ||b|| instead would double-count |rep| for large eigenvalues
-    base = 2.0 * radius_abs * spectral_norm(E)
+    base = 2.0 * radius_abs * norm_e
+    scale = max(spectral_norm(b), norm_e)
     for factor in (1.0, 4.0, 16.0, 64.0):
         try:
             s_list, t_list, _, _ = _staircase_inf(
-                b, E, policy, extra_floor=factor * base + carried_floor
+                b, E, policy, extra_floor=factor * base + carried_floor, scale=scale
             )
             minimal, sizes = _counts_from_staircase(s_list, t_list)
         except RankAmbiguityError:
@@ -321,31 +340,68 @@ def _cluster_multiplicities(E, A, rep, count, radius_abs, policy, carried_floor=
     return None
 
 
-def _finite_structure(E, A, policy: RankPolicy, carried_floor: float = 0.0):
-    """Clustered eigenvalues with partial multiplicities for a regular core."""
+def _certified_eigenvalues(E, A, floor: float):
+    """Eigenvalues of lambda*E - A (E invertible), and which are certified simple.
+
+    With right and left eigenvectors x and y, perturbations of E and A of
+    norm at most floor move eigenvalue i by at most
+    r_i = |x| |y| (1 + |lambda_i|) floor / |y* E x| to first order.  It is
+    certified simple when 8*(r_i + r_j) < |lambda_i - lambda_j| for every
+    j != i, so its disk is well apart from every other.  The members of a
+    split Jordan block have y* E x near zero and are never certified.
+    """
+    w, vl, vr = scipy.linalg.eig(
+        A, E, left=True, right=True, homogeneous_eigvals=True
+    )
+    alpha, beta = w
+    if np.any(np.abs(beta) <= 1e-10 * (np.abs(alpha) + np.abs(beta))):
+        raise RankAmbiguityError(
+            "deflated core unexpectedly has an eigenvalue at infinity; "
+            "rank tolerances likely misjudged the staircase"
+        )
+    values = alpha / beta
+    pairing = np.abs(np.einsum("ij,ij->j", vl.conj(), E @ vr))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        radius = (
+            np.linalg.norm(vl, axis=0)
+            * np.linalg.norm(vr, axis=0)
+            * (1.0 + np.abs(values))
+            * floor
+            / pairing
+        )
+    apart = 8.0 * (radius[:, None] + radius[None, :]) < np.abs(
+        values[:, None] - values[None, :]
+    )
+    np.fill_diagonal(apart, True)
+    return values, apart.all(axis=1)
+
+
+def _finite_structure(E, A, policy: RankPolicy, carried_floor: float):
+    """Clustered eigenvalues with partial multiplicities for a regular core.
+
+    A certified simple eigenvalue alone in its cluster has multiplicities
+    (1,); every other cluster runs the shifted staircase.
+    """
     q = E.shape[0]
     if q == 0:
         return ()
-    w = scipy.linalg.eig(A, E, right=False, homogeneous_eigvals=True)
-    alpha, beta = np.asarray(w[0]), np.asarray(w[1])
-    values = []
-    for a, b in zip(alpha, beta):
-        if abs(b) <= 1e-10 * (abs(a) + abs(b)):
-            raise RankAmbiguityError(
-                "deflated core unexpectedly has an eigenvalue at infinity; "
-                "rank tolerances likely misjudged the staircase"
-            )
-        values.append(complex(a / b))
+    values, certified = _certified_eigenvalues(E, A, carried_floor)
+    norms = None
     for round_idx in range(policy.cluster_rounds):
         factor = policy.cluster_radius * (10.0 ** round_idx)
         clusters = _union_find_clusters(values, factor)
         result = []
         ok = True
         for members in clusters:
-            rep = complex(np.mean(members))
+            if len(members) == 1 and certified[members[0]]:
+                result.append((complex(values[members[0]]), (1,)))
+                continue
+            if norms is None:
+                norms = (spectral_norm(E), spectral_norm(A))
+            rep = complex(np.mean(values[members]))
             radius_abs = factor * (1.0 + abs(rep))
             mults = _cluster_multiplicities(
-                E, A, rep, len(members), radius_abs, policy, carried_floor
+                E, A, rep, len(members), radius_abs, policy, carried_floor, *norms
             )
             if mults is None:
                 ok = False
@@ -377,18 +433,7 @@ def kronecker_structure(p: Pencil, policy: RankPolicy | None = None) -> Kronecke
     # when the independent derivations agree
     last_error: RankAmbiguityError | None = None
     for mult in (1.0, 4.0, 16.0, 64.0):
-        attempt = (
-            policy
-            if mult == 1.0
-            else RankPolicy(
-                kappa_safety=policy.kappa_safety * mult,
-                ambiguity_gap=policy.ambiguity_gap,
-                cluster_radius=policy.cluster_radius,
-                cluster_rounds=policy.cluster_rounds,
-                size_cap=policy.size_cap,
-                absolute_floor=policy.absolute_floor,
-            )
-        )
+        attempt = replace(policy, kappa_safety=policy.kappa_safety * mult)
         try:
             return _extract_structure(E, A, rows, cols, attempt)
         except RankAmbiguityError as err:
@@ -399,14 +444,10 @@ def kronecker_structure(p: Pencil, policy: RankPolicy | None = None) -> Kronecke
 def _extract_structure(E, A, rows, cols, policy: RankPolicy) -> KroneckerStructure:
     # truncation garbage left in deflated cores is proportional to the scale
     # of the ORIGINAL pencil, so later phases must not trust core-local scale
-    global_floor = (
-        policy.kappa_safety
-        * EPS
-        * max(rows, cols, 1)
-        * max(spectral_norm(E), spectral_norm(A))
-    )
+    scale = max(spectral_norm(E), spectral_norm(A))
+    global_floor = policy.kappa_safety * EPS * max(rows, cols, 1) * scale
 
-    s1, t1, e_core, a_core = _staircase_inf(E, A, policy)
+    s1, t1, e_core, a_core = _staircase_inf(E, A, policy, scale=scale)
     right, inf_sizes = _counts_from_staircase(s1, t1)
 
     s2, t2, _, _ = _staircase_inf(E.conj().T, A.conj().T, policy)
@@ -452,15 +493,6 @@ def _extract_structure(E, A, rows, cols, policy: RankPolicy) -> KroneckerStructu
         rows=rows,
         cols=cols,
     )
-
-
-def structural_index(p: Pencil, policy: RankPolicy | None = None) -> int:
-    return kronecker_structure(p, policy).index
-
-
-def minimal_index_lists(p: Pencil, policy: RankPolicy | None = None):
-    ks = kronecker_structure(p, policy)
-    return list(ks.right_minimal_indices), list(ks.left_minimal_indices)
 
 
 def structures_match(

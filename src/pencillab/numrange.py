@@ -33,7 +33,7 @@ from .errors import (
     PreconditionError,
     RankAmbiguityError,
 )
-from .kcf import kronecker_structure
+from .kcf import KroneckerStructure, kronecker_structure
 
 DENOMINATOR_CUTOFF = 1e-12
 EMISSION_RESIDUAL = 1e-10
@@ -262,8 +262,9 @@ def find_definite_combination(
 
     Coarse spherical grid over unit (alpha, beta, gamma) followed by a
     projected ascent on the smallest eigenvalue.  Returns
-    (alpha, beta, gamma, lambda_min) with lambda_min > 0, or None.  A None
-    result does not prove that no definite combination exists.
+    (alpha, beta, gamma, lambda_min) with lambda_min above the roundoff
+    cutoff 16*n*eps*max ||h_k||, or None.  A None result does not prove that
+    no definite combination exists.
     """
     mats = [
         _hermitized(as_complex_matrix(h, name, square=True))
@@ -317,7 +318,9 @@ def find_definite_combination(
             step /= 2.0
             if step < 1e-12:
                 break
-    if current > 0.0:
+    # a smallest eigenvalue at roundoff level is no evidence of definiteness
+    cutoff = 16.0 * n * EPS * max(spectral_norm(m) for m in mats)
+    if current > cutoff:
         return (float(x[0]), float(x[1]), float(x[2]), current)
     return None
 
@@ -381,14 +384,19 @@ def _is_real_posh(pp: PoshPencil) -> bool:
 
 
 def nocommon_chain_report(
-    pp: PoshPencil, sample_budget: int = 2000, seed: int = 0
+    pp: PoshPencil,
+    sample_budget: int = 2000,
+    seed: int = 0,
+    structure: KroneckerStructure | None = None,
 ) -> NocommonChainReport:
     """Evaluate the condition chain (a) through (e) on one pencil.
 
     Kernel and regularity checks are exact; the numerical-range conditions
     are sampled; the isotropic-vector condition uses definite-combination
     certificates.  After the individual tests the chain implications are
-    closed off, with exact evidence overriding sampled evidence.
+    closed off, with exact evidence overriding sampled evidence.  structure,
+    when given, must be the Kronecker structure of pp.pencil(); it is then
+    not extracted again.
     """
     notes = []
     real_case = _is_real_posh(pp)
@@ -464,7 +472,8 @@ def nocommon_chain_report(
                     break
 
     try:
-        structure = kronecker_structure(pp.pencil())
+        if structure is None:
+            structure = kronecker_structure(pp.pencil())
         e = ChainVerdict(structure.regular, "exact", "Kronecker structure")
     except RankAmbiguityError as exc:
         e = ChainVerdict(

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from pencillab.core import Pencil
+from pencillab.core import EPS, Pencil, PoshPencil, spectral_norm
 from pencillab.errors import PreconditionError, RankAmbiguityError
 from pencillab.kcf import (
+    DEFAULT_POLICY,
     KroneckerStructure,
     RankPolicy,
+    _certified_eigenvalues,
     kronecker_structure,
     structures_match,
 )
@@ -32,6 +35,28 @@ def test_jordan_block_multiplicity():
     lam, mults = ks.finite_eigenstructure[0]
     assert abs(lam - 3.0) < 1e-8
     assert mults == (3,)
+
+    # under a condition-10 equivalence QZ splits the block; its members are
+    # too ill-conditioned to be certified simple, so the staircase still runs
+    target = 0.5 - 1.0j
+    blocks = [BlockSpec("finite_jordan", 3, eigenvalue=target)] + [
+        BlockSpec("finite_jordan", 1, eigenvalue=complex(k, 2.0)) for k in range(-3, 4)
+    ]
+    p, _ = assemble_pencil(blocks, transform_condition_cap=10.0, seed=3)
+    ks = kronecker_structure(p)
+    assert [m for lam, m in ks.finite_eigenstructure if abs(lam - target) < 1e-3] == [(3,)]
+    assert sorted(m for _, m in ks.finite_eigenstructure) == [(1,)] * 7 + [(3,)]
+    floor = (
+        DEFAULT_POLICY.kappa_safety
+        * EPS
+        * p.lead.shape[0]
+        * max(spectral_norm(p.lead), spectral_norm(p.constant))
+    )
+    values, certified = _certified_eigenvalues(p.lead, p.constant, floor)
+    split = np.abs(values - target) < 1e-3
+    assert split.sum() == 3
+    assert not certified[split].any()
+    assert certified[~split].all()
 
 
 def test_infinite_blocks_and_index():
@@ -110,6 +135,33 @@ def test_eigenvalue_clustering_collapses_jitter():
     lam, mults = ks.finite_eigenstructure[0]
     assert abs(lam - 0.7) < 1e-6
     assert mults == (2, 2)
+
+
+@pytest.mark.parametrize("n", [32, 40])
+def test_clustered_posh_spectrum_is_simple(n):
+    # J2 = 2*J1 with small rank-n/2 R's crowds the spectrum; every eigenvalue
+    # is still simple, and the structure must say so rather than refuse
+    rng = np.random.default_rng(n)
+
+    def gauss(cols):
+        return rng.standard_normal((n, cols)) + 1j * rng.standard_normal((n, cols))
+
+    def psd_half_rank():
+        f = gauss(n // 2)
+        m = f @ f.conj().T / (n // 2)
+        return (m + m.conj().T) / 2.0
+
+    g = gauss(n)
+    j1 = (g - g.conj().T) / 2.0
+    pp = PoshPencil(j1, 0.01 * psd_half_rank(), 2.0 * j1, 0.01 * psd_half_rank())
+    ks = kronecker_structure(pp.pencil())
+    assert ks.regular and ks.index == 0
+    assert [m for _, m in ks.finite_eigenstructure] == [(1,)] * n
+    got = list(ks.eigenvalues)
+    for want in scipy.linalg.eigvals(-(pp.j2 + pp.r2), pp.j1 + pp.r1):
+        best = min(got, key=lambda z: abs(z - want))
+        assert abs(best - want) < 1e-8 * (1.0 + abs(want))
+        got.remove(best)
 
 
 def test_ex_unstable_structure():

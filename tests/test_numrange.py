@@ -5,6 +5,7 @@ import pytest
 
 from pencillab.core import Pencil, PoshPencil
 from pencillab.errors import InputFormatError
+from pencillab.localization import lhp_certificate
 from pencillab.numrange import (
     PacmanRegion,
     beta_thresholds,
@@ -151,6 +152,33 @@ def test_find_definite_combination_certifies():
     # a shared kernel vector defeats every combination
     k = np.diag([0.0, 1.0, 1.0])
     assert find_definite_combination(k, k, k) is None
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_shared_isotropic_vector_defeats_combinations(n):
+    # real skew J1, J2 = J1/2 and PSD R1, R2 with a common kernel vector k:
+    # every Hermitian form vanishes at k, so no combination is definite and
+    # roundoff in lambda_min must not be taken for a certificate
+    rng = np.random.default_rng(n)
+    g = rng.standard_normal((n, n))
+    j1 = (g - g.T) / 2.0
+    k = rng.standard_normal(n)
+    proj = np.eye(n) - np.outer(k, k) / (k @ k)
+
+    def psd_killing_k():
+        f = proj @ rng.standard_normal((n, n))
+        m = f @ f.T / n
+        return (m + m.T) / 2.0
+
+    pp = PoshPencil(j1, psd_killing_k(), j1 / 2.0, psd_killing_k())
+    herms = [pp.r1, 1j * pp.j1, pp.r2, 1j * pp.j2]
+    for skip in range(4):
+        triple = [h for i, h in enumerate(herms) if i != skip]
+        assert find_definite_combination(*triple) is None
+    cert = lhp_certificate(pp, sample_budget=200, falsify_budget=200, seed=1)
+    assert cert.hypothesis_route != "no_isotropic"
+    rep = nocommon_chain_report(pp, sample_budget=200, seed=1)
+    assert rep.d.value is not True
 
 
 def test_chain_report_strictly_dissipative():
