@@ -10,14 +10,13 @@ Exit codes: 0 success, 2 parse error, 3 precondition failure,
 """
 
 import argparse
-import math
 import os
 import sys
 
 import numpy as np
 
 from . import __version__
-from .core import Pencil, PoshPencil, spectral_norm, validate_posh
+from .core import AXIS_TOL, Pencil, PoshPencil, spectral_norm, validate_posh
 from .dh import GENERAL_Q, Q_IDENTITY, check_dh_equivalence, realize_dh
 from .errors import (
     DimensionError,
@@ -30,10 +29,12 @@ from .fileio import (
     atomic_write_text,
     complex_to_json,
     file_sha256,
+    float_to_json,
     load_pencil_file,
     load_polynomial_file,
     matrix_to_json,
     points_to_csv,
+    region_to_json,
     regions_to_json,
     report_to_json,
 )
@@ -49,6 +50,8 @@ from .matpoly import (
     polynomial_index,
 )
 from .numrange import (
+    DENOMINATOR_CUTOFF,
+    EMISSION_RESIDUAL,
     PacmanRegion,
     beta_thresholds,
     beta_thresholds_scaled,
@@ -152,20 +155,25 @@ def _structure_json(ks) -> dict:
 
 
 def _beta_json(bt) -> dict:
-    def num(v):
-        if v is None:
-            return None
-        return "inf" if math.isinf(v) else float(v)
-
     out = {
         "evidence": "exact",
-        "beta_plus": num(bt.beta_plus),
-        "beta_minus": num(bt.beta_minus),
-        "lower_bound": num(bt.lower_bound),
+        "beta_plus": float_to_json(bt.beta_plus),
+        "beta_minus": float_to_json(bt.beta_minus),
+        "lower_bound": float_to_json(bt.lower_bound),
     }
     if bt.strip_bound is not None:
-        out["strip_bound"] = num(bt.strip_bound)
+        out["strip_bound"] = float_to_json(bt.strip_bound)
     return out
+
+
+def _cubic_json(cs) -> dict:
+    return {
+        "conclusion": cs.conclusion,
+        "hypotheses_hold": cs.hypotheses_hold,
+        "pos2_holds": cs.pos2_holds,
+        "beta_star": float_to_json(cs.beta_star),
+        "evidence": "exact",
+    }
 
 
 def _regions_from_thresholds(bt) -> list:
@@ -404,21 +412,9 @@ def cmd_polystab(args) -> int:
             "use 'lin' and 'eig' for other degrees"
         )
     rep = cubic_stability(poly)
-    results = {
-        "cubic_stability": {
-            "conclusion": rep.conclusion,
-            "hypotheses_hold": rep.hypotheses_hold,
-            "pos2_holds": rep.pos2_holds,
-            "beta_star": None
-            if rep.beta_star is None
-            else ("inf" if math.isinf(rep.beta_star) else float(rep.beta_star)),
-            "excluded_regions": [
-                {"type": "pacman", "beta": ("inf" if math.isinf(r.beta) else float(r.beta)), "sign": r.sign}
-                for r in rep.excluded_regions
-            ],
-            "evidence": "exact",
-        }
-    }
+    cubic = _cubic_json(rep)
+    cubic["excluded_regions"] = [region_to_json(r) for r in rep.excluded_regions]
+    results = {"cubic_stability": cubic}
     mgt = _detect_mgt(poly)
     if mgt is not None:
         a, ratio = mgt
@@ -475,16 +471,7 @@ def cmd_report(args) -> int:
             "evidence": "exact",
         }
         if poly.degree == 3:
-            cs = cubic_stability(poly)
-            results["cubic_stability"] = {
-                "conclusion": cs.conclusion,
-                "hypotheses_hold": cs.hypotheses_hold,
-                "pos2_holds": cs.pos2_holds,
-                "beta_star": None
-                if cs.beta_star is None
-                else ("inf" if math.isinf(cs.beta_star) else float(cs.beta_star)),
-                "evidence": "exact",
-            }
+            results["cubic_stability"] = _cubic_json(cubic_stability(poly))
         rep = _report(args.file, poly, results, seed=seed)
         _emit(args, rep)
         return EXIT_OK
@@ -530,9 +517,9 @@ def cmd_report(args) -> int:
         results,
         seed=seed,
         tolerances={
-            "axis": 1e-8,
-            "denominator_cutoff": 1e-12,
-            "emission_residual": 1e-10,
+            "axis": AXIS_TOL,
+            "denominator_cutoff": DENOMINATOR_CUTOFF,
+            "emission_residual": EMISSION_RESIDUAL,
         },
     )
     _emit(args, rep)

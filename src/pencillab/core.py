@@ -24,6 +24,17 @@ from .errors import (
 
 EPS = float(np.finfo(np.float64).eps)
 
+# Tolerances that several modules share; the report's tolerances block is
+# built from these names.
+# z lies on an axis when its other coordinate is at most AXIS_TOL*(1 + |z|).
+AXIS_TOL = 1e-8
+# Relative departure from exact (skew-)Hermitian structure that is projected
+# away rather than rejected.
+STRUCTURE_DRIFT_TOL = 1e-10
+# A homogeneous eigenvalue (alpha, beta) is infinite when
+# |beta| <= INFINITE_EIGENVALUE_TOL*(|alpha| + |beta|).
+INFINITE_EIGENVALUE_TOL = 1e-10
+
 PLUS = "plus"
 MINUS = "minus"
 
@@ -220,6 +231,10 @@ class PoshPencil:
     def n(self) -> int:
         return self.j1.shape[0]
 
+    @property
+    def is_real(self) -> bool:
+        return all(not np.any(m.imag) for m in (self.j1, self.r1, self.j2, self.r2))
+
     def pencil(self) -> Pencil:
         return Pencil(self.j1 + self.r1, self.j2 + self.r2, PLUS)
 
@@ -327,7 +342,7 @@ def posh_from_parts(
         )
         allowed = structure_tolerance
         if allowed is None:
-            allowed = 1e-10 * (1.0 + spectral_norm(m))
+            allowed = STRUCTURE_DRIFT_TOL * (1.0 + spectral_norm(m))
         if spectral_norm(drop) > allowed:
             raise PreconditionError(
                 f"{name} is not {'skew-Hermitian' if kind == 'skew' else 'Hermitian'}"
@@ -391,7 +406,7 @@ def generalized_eigenvalues(p: Pencil) -> list:
     finite = []
     infinite = 0
     for a, b in zip(alpha, beta):
-        if abs(b) <= 1e-10 * (abs(a) + abs(b)):
+        if abs(b) <= INFINITE_EIGENVALUE_TOL * (abs(a) + abs(b)):
             infinite += 1
         else:
             finite.append(complex(a / b))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import DhPencil
+from .core import AXIS_TOL, DhPencil
 from .errors import PreconditionError
 from .kcf import KroneckerStructure
 
@@ -21,8 +21,6 @@ GENERAL_Q = "general_q"
 Q_IDENTITY = "q_identity"
 
 _VARIANTS = (GENERAL_Q, Q_IDENTITY)
-
-DEFAULT_AXIS_TOLERANCE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -44,11 +42,11 @@ class DhVerdict:
             )
 
 
-def _classify(lam: complex, tol: float) -> str:
+def _classify(lam: complex) -> str:
     # zero and imaginary are both inside the closed left half plane
-    if abs(lam) <= tol:
+    if abs(lam) <= AXIS_TOL:
         return "zero"
-    if abs(lam.real) <= tol * (1.0 + abs(lam)):
+    if abs(lam.real) <= AXIS_TOL * (1.0 + abs(lam)):
         return "imaginary"
     return "lhp" if lam.real < 0.0 else "rhp"
 
@@ -60,11 +58,7 @@ def _require_square(ks: KroneckerStructure):
         )
 
 
-def check_dh_equivalence(
-    ks: KroneckerStructure,
-    variant: str = GENERAL_Q,
-    axis_tolerance: float = DEFAULT_AXIS_TOLERANCE,
-) -> DhVerdict:
+def check_dh_equivalence(ks: KroneckerStructure, variant: str = GENERAL_Q) -> DhVerdict:
     """Test the four admissibility conditions on a Kronecker structure.
 
     general_q requires: spectrum in the closed left half plane, nonzero
@@ -88,7 +82,7 @@ def check_dh_equivalence(
             witness = datum
 
     for lam, mults in ks.finite_eigenstructure:
-        kind = _classify(lam, axis_tolerance)
+        kind = _classify(lam)
         if kind == "rhp":
             mark("spectrum_lhp", lam)
         elif kind == "imaginary":
@@ -187,35 +181,40 @@ def _block_pair_01():
     return e, j, np.zeros((2, 2)), q
 
 
-def _is_self_conjugate(finite, tol: float) -> bool:
-    entries = list(finite)
-    used = [False] * len(entries)
+def _zero_blocks(mults):
+    return [_block_zero_simple() if size == 1 else _block_zero_double() for size in mults]
+
+
+def _conjugate_pairs(entries, is_real):
+    """One pass over a sorted group of (eigenvalue, multiplicities) entries.
+
+    An entry that is not real is paired with the first later unpaired entry
+    at its conjugate (within AXIS_TOL) carrying the same multiplicities.
+    Returns the entries that lead a block as (eigenvalue, multiplicities,
+    paired), or None when some entry has no partner, in which case no real
+    realization is built.
+    """
+    taken = set()
+    leads = []
     for i, (lam, mults) in enumerate(entries):
-        if used[i]:
+        if i in taken:
             continue
-        if abs(lam.imag) <= tol * (1.0 + abs(lam)):
-            used[i] = True
+        if is_real(lam):
+            leads.append((lam, mults, False))
             continue
-        target = lam.conjugate()
-        found = False
-        for k in range(len(entries)):
-            if used[k] or k == i:
-                continue
+        reach = AXIS_TOL * (1.0 + abs(lam))
+        for k in range(i + 1, len(entries)):
             mu, other = entries[k]
-            if other == mults and abs(mu - target) <= tol * (1.0 + abs(lam)):
-                used[i] = used[k] = True
-                found = True
+            if k not in taken and other == mults and abs(mu - lam.conjugate()) <= reach:
+                taken.add(k)
+                leads.append((lam, mults, True))
                 break
-        if not found:
-            return False
-    return True
+        else:
+            return None
+    return leads
 
 
-def realize_dh(
-    ks: KroneckerStructure,
-    variant: str = GENERAL_Q,
-    axis_tolerance: float = DEFAULT_AXIS_TOLERANCE,
-) -> DhPencil:
+def realize_dh(ks: KroneckerStructure, variant: str = GENERAL_Q) -> DhPencil:
     """Assemble a dH pencil whose Kronecker structure equals `ks`.
 
     Blocks follow the constructive proof case by case and are stacked in
@@ -223,98 +222,51 @@ def realize_dh(
     (zero included), infinite blocks, then singular pairs.  When the
     eigenvalue data is closed under conjugation the output is real.
     """
-    verdict = check_dh_equivalence(ks, variant, axis_tolerance)
+    verdict = check_dh_equivalence(ks, variant)
     if not verdict.holds:
         raise PreconditionError(
             "structure does not satisfy the dH conditions for "
             f"{variant}: {', '.join(verdict.violated_conditions)}"
         )
-    tol = axis_tolerance
-    real_mode = _is_self_conjugate(ks.finite_eigenstructure, tol)
-
     lhp_entries = []
-    imag_entries = []
+    axis_entries = []
     for lam, mults in ks.finite_eigenstructure:
-        kind = _classify(lam, tol)
-        if kind == "lhp":
-            lhp_entries.append((lam, mults))
-        else:
-            imag_entries.append((lam, mults, kind))
+        (lhp_entries if _classify(lam) == "lhp" else axis_entries).append((lam, mults))
+
+    lhp_leads = _conjugate_pairs(
+        sorted(lhp_entries, key=lambda t: (t[0].real, abs(t[0].imag), t[0].imag)),
+        lambda lam: abs(lam.imag) <= AXIS_TOL * (1.0 + abs(lam)),
+    )
+    axis_leads = _conjugate_pairs(
+        sorted(axis_entries, key=lambda t: (abs(t[0].imag), t[0].imag)),
+        lambda lam: _classify(lam) == "zero",
+    )
 
     blocks = []
-
-    if real_mode:
-        lhp_entries.sort(key=lambda t: (t[0].real, abs(t[0].imag), t[0].imag))
-        consumed = set()
-        for i, (lam, mults) in enumerate(lhp_entries):
-            if i in consumed:
-                continue
-            if abs(lam.imag) <= tol * (1.0 + abs(lam)):
-                for size in mults:
-                    blocks.append(_block_lhp_complex(complex(lam.real), size))
-                consumed.add(i)
-                continue
-            partner = None
-            for k in range(i + 1, len(lhp_entries)):
-                if k in consumed:
-                    continue
-                mu, other = lhp_entries[k]
-                if other == mults and abs(mu - lam.conjugate()) <= tol * (1.0 + abs(lam)):
-                    partner = k
-                    break
-            if partner is None:
-                raise PreconditionError(
-                    f"eigenvalue {lam} lacks a conjugate partner for a real realization"
-                )
-            consumed.add(i)
-            consumed.add(partner)
+    if lhp_leads is not None and axis_leads is not None:
+        for lam, mults, paired in lhp_leads:
             for size in mults:
                 blocks.append(
                     _block_lhp_real_pair(lam.real, abs(lam.imag), size)
+                    if paired
+                    else _block_lhp_complex(complex(lam.real), size)
                 )
-        imag_entries.sort(key=lambda t: (abs(t[0].imag), t[0].imag))
-        consumed = set()
-        for i, (lam, mults, kind) in enumerate(imag_entries):
-            if i in consumed:
-                continue
-            if kind == "zero":
-                consumed.add(i)
-                for size in mults:
-                    blocks.append(
-                        _block_zero_simple() if size == 1 else _block_zero_double()
-                    )
-                continue
-            partner = None
-            for k in range(i + 1, len(imag_entries)):
-                if k in consumed:
-                    continue
-                mu, other, _ = imag_entries[k]
-                if other == mults and abs(mu - lam.conjugate()) <= tol * (1.0 + abs(lam)):
-                    partner = k
-                    break
-            if partner is None:
-                raise PreconditionError(
-                    f"eigenvalue {lam} lacks a conjugate partner for a real realization"
-                )
-            consumed.add(i)
-            consumed.add(partner)
-            for _ in mults:
-                blocks.append(_block_imag_real_pair(abs(lam.imag)))
+        for lam, mults, paired in axis_leads:
+            if paired:
+                blocks.extend(_block_imag_real_pair(abs(lam.imag)) for _ in mults)
+            else:
+                blocks.extend(_zero_blocks(mults))
     else:
         lhp_entries.sort(key=lambda t: (t[0].real, t[0].imag))
         for lam, mults in lhp_entries:
             for size in mults:
                 blocks.append(_block_lhp_complex(lam, size))
-        imag_entries.sort(key=lambda t: (t[0].imag, t[0].real))
-        for lam, mults, kind in imag_entries:
-            if kind == "zero":
-                for size in mults:
-                    blocks.append(
-                        _block_zero_simple() if size == 1 else _block_zero_double()
-                    )
+        axis_entries.sort(key=lambda t: (t[0].imag, t[0].real))
+        for lam, mults in axis_entries:
+            if _classify(lam) == "zero":
+                blocks.extend(_zero_blocks(mults))
             else:
-                for _ in mults:
-                    blocks.append(_block_imag_complex(lam.imag))
+                blocks.extend(_block_imag_complex(lam.imag) for _ in mults)
 
     for size in sorted(ks.infinite_block_sizes):
         blocks.append(_block_inf_simple() if size == 1 else _block_inf_double())

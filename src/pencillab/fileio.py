@@ -13,7 +13,7 @@ import tempfile
 
 import numpy as np
 
-from .core import MINUS, PLUS, Pencil, PoshPencil, spectral_norm
+from .core import MINUS, PLUS, Pencil, PoshPencil
 from .errors import InputFormatError
 from .matpoly import MatrixPolynomial
 from .numrange import PacmanRegion
@@ -154,15 +154,19 @@ def points_to_csv(points) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _beta_to_json(beta: float):
-    return "inf" if math.isinf(beta) else float(beta)
+def float_to_json(value):
+    """A number for a JSON document: None stays null, an infinity is "inf"."""
+    if value is None:
+        return None
+    return "inf" if math.isinf(value) else float(value)
+
+
+def region_to_json(region: PacmanRegion) -> dict:
+    return {"type": "pacman", "beta": float_to_json(region.beta), "sign": region.sign}
 
 
 def regions_to_json(regions) -> str:
-    entries = [
-        {"type": "pacman", "beta": _beta_to_json(r.beta), "sign": r.sign}
-        for r in regions
-    ]
+    entries = [region_to_json(r) for r in regions]
     return json.dumps(entries, sort_keys=True, indent=2) + "\n"
 
 

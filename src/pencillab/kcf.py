@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .core import EPS, Pencil, spectral_norm
+from .core import EPS, INFINITE_EIGENVALUE_TOL, Pencil, spectral_norm
 from .errors import PreconditionError, RankAmbiguityError
 
 
@@ -354,7 +354,7 @@ def _certified_eigenvalues(E, A, floor: float):
         A, E, left=True, right=True, homogeneous_eigvals=True
     )
     alpha, beta = w
-    if np.any(np.abs(beta) <= 1e-10 * (np.abs(alpha) + np.abs(beta))):
+    if np.any(np.abs(beta) <= INFINITE_EIGENVALUE_TOL * (np.abs(alpha) + np.abs(beta))):
         raise RankAmbiguityError(
             "deflated core unexpectedly has an eigenvalue at infinity; "
             "rank tolerances likely misjudged the staircase"

@@ -20,6 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from .core import (
+    AXIS_TOL,
     EPS,
     PLUS,
     Pencil,
@@ -30,11 +31,12 @@ from .core import (
 )
 from .errors import PreconditionError, RankAmbiguityError
 from .kcf import kronecker_structure
-from .numrange import common_kernel, find_definite_combination, sample_numerical_range
+from .numrange import common_kernel, find_definite_triple, sample_numerical_range
 
 QUADFORM_TOL = 1e-10
 KRONECKER_SIZE_CAP = 64
-AXIS_TOL = 1e-8
+# relative size below which eejjx_by_spectral treats a form or a J product as zero
+SPECTRAL_RELATIVE_TOL = 1e-12
 
 
 def eejjx_value(pp: PoshPencil, x) -> float:
@@ -73,7 +75,7 @@ def eejjx_by_kronecker(pp: PoshPencil) -> bool:
     return float(w[-1]) <= 64.0 * EPS * scale
 
 
-def eejjx_by_spectral(pp: PoshPencil, relative_tolerance: float = 1e-12) -> bool:
+def eejjx_by_spectral(pp: PoshPencil) -> bool:
     """Pointwise sign test on the Hermitian forms behind J1 and J2.
 
     True when x*J1x * x*J2x <= 0 for every x, which makes the quadratic-form
@@ -93,7 +95,7 @@ def eejjx_by_spectral(pp: PoshPencil, relative_tolerance: float = 1e-12) -> bool
     n1 = spectral_norm(k1)
     n2 = spectral_norm(k2)
     # a negligible J product cannot push the form past the falsifier scale
-    if n1 * n2 <= relative_tolerance * spectral_norm(pp.r1) * spectral_norm(pp.r2):
+    if n1 * n2 <= SPECTRAL_RELATIVE_TOL * spectral_norm(pp.r1) * spectral_norm(pp.r2):
         return True
     if n1 == 0.0 or n2 == 0.0:
         return True
@@ -101,9 +103,9 @@ def eejjx_by_spectral(pp: PoshPencil, relative_tolerance: float = 1e-12) -> bool
     w2 = np.linalg.eigvalsh((k2 + k2.conj().T) / 2.0)
     lo1, hi1 = float(w1[0]), float(w1[-1])
     lo2, hi2 = float(w2[0]), float(w2[-1])
-    if lo1 >= -relative_tolerance * n1 and lo2 >= -relative_tolerance * n2:
+    if lo1 >= -SPECTRAL_RELATIVE_TOL * n1 and lo2 >= -SPECTRAL_RELATIVE_TOL * n2:
         return True
-    if hi1 <= relative_tolerance * n1 and hi2 <= relative_tolerance * n2:
+    if hi1 <= SPECTRAL_RELATIVE_TOL * n1 and hi2 <= SPECTRAL_RELATIVE_TOL * n2:
         return True
     # proportionality k2 = c*k1 (or the reverse) with c >= 0
     for a, b, na, nb in ((k1, k2, n1, n2), (k2, k1, n2, n1)):
@@ -111,7 +113,7 @@ def eejjx_by_spectral(pp: PoshPencil, relative_tolerance: float = 1e-12) -> bool
         if denom == 0.0:
             continue
         c = float(np.real(np.vdot(a, b))) / denom
-        if c >= 0.0 and spectral_norm(b - c * a) <= relative_tolerance * nb:
+        if c >= 0.0 and spectral_norm(b - c * a) <= SPECTRAL_RELATIVE_TOL * nb:
             return True
     return False
 
@@ -200,82 +202,17 @@ def eejjx_falsify(pp: PoshPencil, budget: int = 2000, seed: int = 0):
 
 
 def eejjx_real_form(pp: PoshPencil, budget: int = 2000, seed: int = 0):
-    """Falsifier for real data, searching over real pairs (xi, eta).
+    """Falsifier for real data, returning the witness as a real pair (xi, eta).
 
-    A violation means -4*(xi'J1 eta)*(xi'J2 eta) exceeds
-    (xi'R1 xi + eta'R1 eta)*(xi'R2 xi + eta'R2 eta); any witness pair maps
-    to x = xi + i*eta violating the complex condition, which is re-checked
-    before returning.
+    For real coefficients, x = xi + i*eta turns the condition's value into
+    -4*(xi'J1 eta)*(xi'J2 eta) - (xi'R1 xi + eta'R1 eta)*(xi'R2 xi + eta'R2 eta),
+    so a search over real pairs on the unit sphere is the complex search of
+    eejjx_falsify, which runs it.
     """
-    for name in ("j1", "r1", "j2", "r2"):
-        if not np.all(getattr(pp, name).imag == 0.0):
-            raise PreconditionError("real-form falsifier needs real matrices")
-    n = pp.n
-    if n == 0 or budget <= 0:
-        return None
-    threshold = _eejjx_threshold(pp)
-    if threshold == 0.0:
-        return None
-    j1 = pp.j1.real
-    j2 = pp.j2.real
-    r1 = pp.r1.real
-    r2 = pp.r2.real
-
-    def value(xi, eta):
-        jj = -4.0 * float(xi @ j1 @ eta) * float(xi @ j2 @ eta)
-        rr = float(xi @ r1 @ xi + eta @ r1 @ eta) * float(
-            xi @ r2 @ xi + eta @ r2 @ eta
-        )
-        return jj - rr
-
-    rng = np.random.default_rng(seed)
-    rand_budget = max(1, int(0.8 * budget))
-    best_val = -math.inf
-    best = None
-    for _ in range(rand_budget):
-        z = rng.standard_normal(2 * n)
-        nrm = np.linalg.norm(z)
-        if nrm == 0.0:
-            continue
-        z /= nrm
-        xi, eta = z[:n], z[n:]
-        val = value(xi, eta)
-        if val > best_val:
-            best_val = val
-            best = (xi.copy(), eta.copy())
-        if val > threshold and eejjx_value(pp, xi + 1j * eta) > threshold:
-            return (xi.copy(), eta.copy())
-    xi, eta = best
-    step = 0.1
-    h = 1e-6
-    for _ in range(budget - rand_budget):
-        # finite-difference ascent on the stacked real vector
-        z = np.concatenate([xi, eta])
-        grad = np.zeros_like(z)
-        base = value(xi, eta)
-        for i in range(z.size):
-            zp = z.copy()
-            zp[i] += h
-            grad[i] = (value(zp[:n], zp[n:]) - base) / h
-        cand = z + step * grad
-        nrm = np.linalg.norm(cand)
-        if nrm == 0.0:
-            step /= 2.0
-            continue
-        cand /= nrm
-        val = value(cand[:n], cand[n:])
-        if val > threshold and eejjx_value(
-            pp, cand[:n] + 1j * cand[n:]
-        ) > threshold:
-            return (cand[:n].copy(), cand[n:].copy())
-        if val > base:
-            xi, eta = cand[:n], cand[n:]
-            step = min(step * 1.5, 1.0)
-        else:
-            step /= 2.0
-            if step < 1e-14:
-                break
-    return None
+    if not pp.is_real:
+        raise PreconditionError("real-form falsifier needs real matrices")
+    x = eejjx_falsify(pp, budget, seed)
+    return None if x is None else (x.real.copy(), x.imag.copy())
 
 
 @dataclass(frozen=True)
@@ -313,22 +250,10 @@ def _no_isotropic_evidence(pp: PoshPencil):
         return "trivial intersection of ker R1 and ker R2"
     if pp.n < 2:
         return None
-    herms = {
-        "R1": pp.r1,
-        "iJ1": 1j * pp.j1,
-        "R2": pp.r2,
-        "iJ2": 1j * pp.j2,
-    }
-    names = list(herms)
-    for skip in range(4):
-        triple = [names[i] for i in range(4) if i != skip]
-        combo = find_definite_combination(*(herms[t] for t in triple))
-        if combo is not None:
-            return (
-                "definite combination of {%s}, lambda_min %.3g"
-                % (", ".join(triple), combo[3])
-            )
-    return None
+    found = find_definite_triple(pp)
+    if found is None:
+        return None
+    return "definite combination of {%s}, lambda_min %.3g" % (", ".join(found[0]), found[1])
 
 
 def lhp_certificate(
@@ -470,7 +395,7 @@ def _pencil_regular(lead, const) -> bool:
         return probe_regular(p)
 
 
-def _positive_real_eigenpairs(pp: PoshPencil, tol: float = AXIS_TOL):
+def _positive_real_eigenpairs(pp: PoshPencil):
     """Finite eigenpairs of the pencil with eigenvalue on the positive axis."""
     lead = pp.j1 + pp.r1
     const = pp.j2 + pp.r2
@@ -483,9 +408,8 @@ def _positive_real_eigenpairs(pp: PoshPencil, tol: float = AXIS_TOL):
         lam = complex(vals[k])
         if not np.isfinite(lam.real) or not np.isfinite(lam.imag):
             continue
-        if lam.real > tol * (1.0 + abs(lam)) and abs(lam.imag) <= tol * (
-            1.0 + abs(lam)
-        ):
+        reach = AXIS_TOL * (1.0 + abs(lam))
+        if lam.real > reach and abs(lam.imag) <= reach:
             pairs.append((lam.real, vecs[:, k]))
     return pairs
 

@@ -7,14 +7,12 @@ resulting index bound, and stability certificates for cubics, including
 the family lambda^3 I + a lambda^2 I + b lambda T + c T.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (
-    PLUS,
-    Pencil,
+    STRUCTURE_DRIFT_TOL,
     PoshPencil,
     as_complex_matrix,
     default_psd_tolerance,
@@ -76,8 +74,8 @@ def psd_validated(
 ) -> MatrixPolynomial:
     """Project coefficients to their Hermitian parts and check PSD.
 
-    Small non-Hermitian drift (relative 1e-10 by default) is projected
-    away; larger drift or an indefinite coefficient is rejected.
+    Small non-Hermitian drift (relative STRUCTURE_DRIFT_TOL by default) is
+    projected away; larger drift or an indefinite coefficient is rejected.
     """
     fixed = []
     for k, a in enumerate(p.coefficients):
@@ -86,7 +84,7 @@ def psd_validated(
         allowed = (
             structure_tolerance
             if structure_tolerance is not None
-            else 1e-10 * (1.0 + spectral_norm(a))
+            else STRUCTURE_DRIFT_TOL * (1.0 + spectral_norm(a))
         )
         if drift > allowed:
             raise PreconditionError(
@@ -257,7 +255,7 @@ class CubicStabilityReport:
             raise PreconditionError("beta_star defined without hypotheses")
 
 
-def cubic_stability(p: MatrixPolynomial, bisect_tol: float = 1e-9) -> CubicStabilityReport:
+def cubic_stability(p: MatrixPolynomial) -> CubicStabilityReport:
     """Stability certificate for cubics with PSD Hermitian coefficients.
 
     Hypotheses: A3, A2, A0 positive definite, A1 PSD, A2+A1 positive
@@ -282,7 +280,7 @@ def cubic_stability(p: MatrixPolynomial, bisect_tol: float = 1e-9) -> CubicStabi
     z = np.zeros((n, n), dtype=np.complex128)
     h0 = np.block([[a3, z], [z, a1 + a2]])
     h1 = np.block([[z, -1j * a3], [1j * a3, z]])
-    beta_star = definiteness_threshold(h0, h1, bisect_tol)
+    beta_star = definiteness_threshold(h0, h1)
     d2 = a2 - a3
     d1 = a1 - a0
     pos2 = smallest_hermitian_eigenvalue(d2) >= -default_psd_tolerance(
@@ -309,7 +307,7 @@ def mgt_stability(a: float, b: float, c: float, t) -> str:
         raise PreconditionError("the scalar parameters must be positive")
     t = as_complex_matrix(t, "t", square=True)
     herm = (t + t.conj().T) / 2.0
-    if spectral_norm(t - herm) > 1e-10 * (1.0 + spectral_norm(t)):
+    if spectral_norm(t - herm) > STRUCTURE_DRIFT_TOL * (1.0 + spectral_norm(t)):
         raise PreconditionError("t must be Hermitian")
     if not is_positive_definite(herm):
         raise PreconditionError("t must be positive definite")

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    AXIS_TOL,
     EPS,
     Pencil,
     PoshPencil,
@@ -37,6 +38,12 @@ from .kcf import KroneckerStructure, kronecker_structure
 
 DENOMINATOR_CUTOFF = 1e-12
 EMISSION_RESIDUAL = 1e-10
+# bracket width at which the definiteness bisection stops
+BISECT_TOL = 1e-9
+FLOAT_MAX = float(np.finfo(np.float64).max)
+# points per angle of the definite-combination grid, and ascent steps after it
+COMBINATION_GRID = 26
+COMBINATION_REFINE_STEPS = 60
 
 
 @dataclass(frozen=True)
@@ -91,7 +98,7 @@ def rayleigh_point(p: Pencil, x) -> complex | None:
     """Numerical-range point generated by x, or None when x is too isotropic.
 
     mu = -(x* Const x)/(x* Lead x); the denominator must exceed
-    1e-12 * ||Lead|| * ||x||^2.
+    DENOMINATOR_CUTOFF * ||Lead|| * ||x||^2.
     """
     p = p.to_plus()
     vec = np.asarray(x, dtype=np.complex128)
@@ -116,7 +123,8 @@ def sample_numerical_range(p: Pencil, n_samples: int, seed: int = 0) -> NumRange
 
     Directions are drawn from the rotation-invariant distribution on the
     complex unit sphere; the draw is deterministic under a fixed seed.
-    Points failing the emission residual check count as discarded.
+    Points failing the emission residual check count as discarded, and so
+    does every draw for the empty pencil, which has no unit vectors.
     """
     p = p.to_plus()
     if not p.is_square:
@@ -126,7 +134,7 @@ def sample_numerical_range(p: Pencil, n_samples: int, seed: int = 0) -> NumRange
     if n_samples < 0:
         raise InputFormatError("sample count must be nonnegative")
     if n_samples == 0 or n == 0:
-        return NumRangeSample((), 0, seed, n_samples)
+        return NumRangeSample((), n_samples, seed, n_samples)
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n_samples, n)) + 1j * rng.standard_normal((n_samples, n))
     norms = np.linalg.norm(X, axis=1)
@@ -147,12 +155,13 @@ def _hermitized(m) -> np.ndarray:
     return (m + m.conj().T) / 2.0
 
 
-def definiteness_threshold(h0, h1, bisect_tol: float = 1e-9) -> float | None:
+def definiteness_threshold(h0, h1) -> float | None:
     """sup{beta >= 0 : h0 + beta*h1 positive definite}, by bisection.
 
     Returns None when h0 itself is not definite, inf when the set is
-    unbounded.  The returned finite value is on the definite side of the
-    supremum, with bracket width at most bisect_tol.
+    unbounded or holds every finite float.  The returned finite value is on
+    the definite side of the supremum, with bracket width at most BISECT_TOL,
+    or one float spacing where the supremum is too large for that.
     """
     h0 = _hermitized(as_complex_matrix(h0, "h0", square=True))
     h1 = _hermitized(as_complex_matrix(h1, "h1", square=True))
@@ -167,11 +176,14 @@ def definiteness_threshold(h0, h1, bisect_tol: float = 1e-9) -> float | None:
     small = sv[sv > sv[0] * h1.shape[0] * EPS]
     sigma_min = float(small[-1]) if small.size else float(sv[0])
     cap = 1.0 + 2.0 * float(np.linalg.svd(h0, compute_uv=False)[0]) / sigma_min
+    cap = min(cap, FLOAT_MAX)
     if is_positive_definite(h0 + cap * h1):
         return math.inf
     lo, hi = 0.0, cap
-    while hi - lo > bisect_tol:
+    while hi - lo > BISECT_TOL:
         mid = (lo + hi) / 2.0
+        if not lo < mid < hi:
+            break  # adjacent floats: the bracket cannot shrink further
         if is_positive_definite(h0 + mid * h1):
             lo = mid
         else:
@@ -179,27 +191,25 @@ def definiteness_threshold(h0, h1, bisect_tol: float = 1e-9) -> float | None:
     return lo
 
 
-def _thresholds(h0, k, j1_norm, bisect_tol, strip_bound=None) -> BetaThresholds:
+def _thresholds(h0, k, j1_norm, strip_bound=None) -> BetaThresholds:
     if not is_positive_definite(_hermitized(h0)):
         return BetaThresholds(None, None, None, strip_bound)
     if j1_norm == 0.0:
         return BetaThresholds(math.inf, math.inf, None, strip_bound)
-    beta_plus = definiteness_threshold(h0, k, bisect_tol)
-    beta_minus = definiteness_threshold(h0, -k, bisect_tol)
+    beta_plus = definiteness_threshold(h0, k)
+    beta_minus = definiteness_threshold(h0, -k)
     sv = np.linalg.svd(_hermitized(h0), compute_uv=False)
     lower = float(sv[-1]) / j1_norm
     return BetaThresholds(beta_plus, beta_minus, lower, strip_bound)
 
 
-def beta_thresholds(pp: PoshPencil, bisect_tol: float = 1e-9) -> BetaThresholds:
+def beta_thresholds(pp: PoshPencil) -> BetaThresholds:
     """Thresholds for R1 + R2 +/- beta*(i J1) staying positive definite."""
     k = 1j * pp.j1
-    return _thresholds(pp.r1 + pp.r2, k, spectral_norm(pp.j1), bisect_tol)
+    return _thresholds(pp.r1 + pp.r2, k, spectral_norm(pp.j1))
 
 
-def beta_thresholds_scaled(
-    pp: PoshPencil, t: float, bisect_tol: float = 1e-9
-) -> BetaThresholds:
+def beta_thresholds_scaled(pp: PoshPencil, t: float) -> BetaThresholds:
     """Thresholds with R1 scaled by t; reports the strip bound when valid.
 
     The strip bound sigma_min(R2)/||J1|| applies when R2 is invertible and
@@ -214,7 +224,7 @@ def beta_thresholds_scaled(
     if j1_norm > 0.0 and lam_min_r2 > default_psd_tolerance(pp.r2):
         strip = lam_min_r2 / j1_norm
     k = 1j * pp.j1
-    return _thresholds(t * pp.r1 + pp.r2, k, j1_norm, bisect_tol, strip)
+    return _thresholds(t * pp.r1 + pp.r2, k, j1_norm, strip)
 
 
 def pacman_excludes(region: PacmanRegion, z: complex) -> bool:
@@ -255,9 +265,7 @@ def common_kernel(matrices) -> np.ndarray:
     return np.ascontiguousarray(vh[rank:].conj().T)
 
 
-def find_definite_combination(
-    h1, h2, h3, grid_resolution: int = 26, refine_steps: int = 60
-):
+def find_definite_combination(h1, h2, h3):
     """Search for alpha*h1 + beta*h2 + gamma*h3 positive definite.
 
     Coarse spherical grid over unit (alpha, beta, gamma) followed by a
@@ -283,8 +291,8 @@ def find_definite_combination(
 
     best = None
     best_val = -math.inf
-    thetas = np.linspace(0.0, math.pi, grid_resolution)
-    phis = np.linspace(0.0, 2.0 * math.pi, grid_resolution, endpoint=False)
+    thetas = np.linspace(0.0, math.pi, COMBINATION_GRID)
+    phis = np.linspace(0.0, 2.0 * math.pi, COMBINATION_GRID, endpoint=False)
     for theta in thetas:
         st, ct = math.sin(theta), math.cos(theta)
         for phi in phis:
@@ -299,7 +307,7 @@ def find_definite_combination(
     x = best
     step = 0.1
     current = best_val
-    for _ in range(refine_steps):
+    for _ in range(COMBINATION_REFINE_STEPS):
         m = x[0] * mats[0] + x[1] * mats[1] + x[2] * mats[2]
         w, v = np.linalg.eigh(m)
         vec = v[:, 0]
@@ -322,6 +330,23 @@ def find_definite_combination(
     cutoff = 16.0 * n * EPS * max(spectral_norm(m) for m in mats)
     if current > cutoff:
         return (float(x[0]), float(x[1]), float(x[2]), current)
+    return None
+
+
+def find_definite_triple(pp: PoshPencil):
+    """A definite combination of three of R1, iJ1, R2 and iJ2.
+
+    The triples leave out R1, iJ1, R2 and iJ2 in turn, and the first with a
+    definite combination wins.  Such a combination rules out a common
+    isotropic vector of the coefficients.  Returns (triple names, lambda_min)
+    or None; None proves nothing.
+    """
+    herms = {"R1": pp.r1, "iJ1": 1j * pp.j1, "R2": pp.r2, "iJ2": 1j * pp.j2}
+    for skip in herms:
+        triple = [name for name in herms if name != skip]
+        combo = find_definite_combination(*(herms[name] for name in triple))
+        if combo is not None:
+            return triple, combo[3]
     return None
 
 
@@ -358,7 +383,6 @@ class NocommonChainReport:
 
 _EVIDENCE_RANK = {"exact": 3, "sampled": 2, "heuristic": 1}
 
-POSITIVE_REAL_IMAG_TOL = 1e-8
 PROBE_GAP_FACTOR = 0.2
 
 
@@ -377,12 +401,6 @@ def _probe_gap_not_whole_plane(points) -> tuple:
     return best > PROBE_GAP_FACTOR, best
 
 
-def _is_real_posh(pp: PoshPencil) -> bool:
-    return all(
-        bool(np.all(m.imag == 0.0)) for m in (pp.j1, pp.r1, pp.j2, pp.r2)
-    )
-
-
 def nocommon_chain_report(
     pp: PoshPencil,
     sample_budget: int = 2000,
@@ -399,7 +417,7 @@ def nocommon_chain_report(
     not extracted again.
     """
     notes = []
-    real_case = _is_real_posh(pp)
+    real_case = pp.is_real
     n = pp.n
 
     kernel_ab = common_kernel([pp.r1, pp.r2])
@@ -412,9 +430,7 @@ def nocommon_chain_report(
     sample = sample_numerical_range(pp.pencil(), sample_budget, seed)
     hit = None
     for z in sample.points:
-        if z.real > POSITIVE_REAL_IMAG_TOL and abs(z.imag) <= POSITIVE_REAL_IMAG_TOL * (
-            1.0 + abs(z)
-        ):
+        if z.real > AXIS_TOL and abs(z.imag) <= AXIS_TOL * (1.0 + abs(z)):
             hit = z
             break
     if hit is not None:
@@ -451,25 +467,16 @@ def nocommon_chain_report(
         elif n == 1:
             d = ChainVerdict(True, "exact", "nonzero scalar coefficient")
         else:
-            herms = {
-                "R1": pp.r1,
-                "iJ1": 1j * pp.j1,
-                "R2": pp.r2,
-                "iJ2": 1j * pp.j2,
-            }
-            names = list(herms)
-            d = ChainVerdict(None, "heuristic", "no definite combination found")
-            for skip in range(4):
-                triple = [names[i] for i in range(4) if i != skip]
-                combo = find_definite_combination(*(herms[t] for t in triple))
-                if combo is not None:
-                    d = ChainVerdict(
-                        True,
-                        "heuristic",
-                        "definite combination of {%s} with lambda_min %.3g"
-                        % (", ".join(triple), combo[3]),
-                    )
-                    break
+            found = find_definite_triple(pp)
+            if found is None:
+                d = ChainVerdict(None, "heuristic", "no definite combination found")
+            else:
+                d = ChainVerdict(
+                    True,
+                    "heuristic",
+                    "definite combination of {%s} with lambda_min %.3g"
+                    % (", ".join(found[0]), found[1]),
+                )
 
     try:
         if structure is None:

@@ -48,6 +48,16 @@ def test_sampling_deterministic_and_counted():
     assert s1.points != s3.points
 
 
+def test_empty_pencil_discards_every_draw():
+    z = np.zeros((0, 0))
+    sample = sample_numerical_range(Pencil(z, z), 5, seed=0)
+    assert sample.points == ()
+    assert sample.discarded == 5 and sample.sample_count == 5
+    assert sample_numerical_range(Pencil(z, z), 0).discarded == 0
+    chain = nocommon_chain_report(PoshPencil(z, z, z, z), sample_budget=5)
+    assert chain.a.value is True and chain.e.value is True
+
+
 def test_definiteness_threshold_scalar():
     # sup{b : 1 - b > 0} = 1
     t = definiteness_threshold(np.array([[1.0]]), np.array([[-1.0]]))
@@ -58,6 +68,16 @@ def test_definiteness_threshold_scalar():
     # h0 merely PSD: undefined
     t = definiteness_threshold(np.diag([1.0, 0.0]), np.eye(2))
     assert t is None
+
+
+def test_definiteness_threshold_above_bisection_resolution():
+    # past about 8e6 the float spacing exceeds the bisection tolerance, so
+    # the bracket ends at adjacent floats
+    t = definiteness_threshold(np.array([[1.0]]), np.array([[-1e-7]]))
+    assert math.isclose(t, 1e7, rel_tol=1e-12) and 1.0 - t * 1e-7 > 0.0
+    # a supremum beyond the largest float: every finite beta keeps h0 definite
+    t = definiteness_threshold(np.array([[6.0]]), np.array([[-1e-308]]))
+    assert t == math.inf
 
 
 def test_definiteness_threshold_is_conservative():
