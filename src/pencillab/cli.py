@@ -509,6 +509,7 @@ def cmd_report(args) -> int:
                 sample_budget=args.samples,
                 seed=seed,
                 structure=ks if isinstance(obj, PoshPencil) else None,
+                sample=sample,
             )
         )
     rep = _report(

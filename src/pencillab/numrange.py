@@ -406,6 +406,7 @@ def nocommon_chain_report(
     sample_budget: int = 2000,
     seed: int = 0,
     structure: KroneckerStructure | None = None,
+    sample: NumRangeSample | None = None,
 ) -> NocommonChainReport:
     """Evaluate the condition chain (a) through (e) on one pencil.
 
@@ -413,8 +414,9 @@ def nocommon_chain_report(
     are sampled; the isotropic-vector condition uses definite-combination
     certificates.  After the individual tests the chain implications are
     closed off, with exact evidence overriding sampled evidence.  structure,
-    when given, must be the Kronecker structure of pp.pencil(); it is then
-    not extracted again.
+    when given, must be the Kronecker structure of pp.pencil(), and sample,
+    when given, must be sample_numerical_range(pp.pencil(), sample_budget,
+    seed); they are then not computed again.
     """
     notes = []
     real_case = pp.is_real
@@ -427,7 +429,8 @@ def nocommon_chain_report(
         f"dim(ker R1 n ker R2) = {kernel_ab.shape[1]}",
     )
 
-    sample = sample_numerical_range(pp.pencil(), sample_budget, seed)
+    if sample is None:
+        sample = sample_numerical_range(pp.pencil(), sample_budget, seed)
     hit = None
     for z in sample.points:
         if z.real > AXIS_TOL and abs(z.imag) <= AXIS_TOL * (1.0 + abs(z)):

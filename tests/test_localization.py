@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from pencillab.core import PoshPencil
+from pencillab.core import EPS, PoshPencil
 from pencillab.errors import PreconditionError
 from pencillab.localization import (
+    _random_phase,
+    _symmetric_kronecker_form,
     eejjx_by_kronecker,
     eejjx_by_norms,
     eejjx_by_spectral,
@@ -64,6 +66,91 @@ def test_falsifier_never_contradicts_provers():
         if proved:
             witness = eejjx_falsify(pp, budget=1000, seed=k)
             assert witness is None, f"iteration {k}"
+
+
+def _full_kronecker(pp):
+    return np.kron(pp.j1, pp.j2) - np.kron(pp.r1, pp.r2)
+
+
+def _symmetric_isometry(n):
+    """Columns e_i (x) e_i and (e_i (x) e_j + e_j (x) e_i)/sqrt(2), i < j, from np.kron."""
+    eye = np.eye(n)
+    cols = []
+    for i in range(n):
+        for j in range(i, n):
+            if i == j:
+                cols.append(np.kron(eye[i], eye[i]))
+            else:
+                cols.append((np.kron(eye[i], eye[j]) + np.kron(eye[j], eye[i])) / math.sqrt(2.0))
+    return np.array(cols).T
+
+
+def _criterion_13_pencil(k):
+    rng = np.random.default_rng(13_000 + k)
+    n = 1 + k % 6
+    pp = random_posh_pencil(rng, n, pd_sum=(k % 3 == 0))
+    if k % 10 == 0:
+        pp = PoshPencil(0.01 * pp.j1, pp.r1 + np.eye(n), 0.01 * pp.j2, pp.r2 + np.eye(n))
+    return pp
+
+
+def test_symmetric_kronecker_form_is_the_compressed_product():
+    for n in range(1, 6):
+        pp = random_posh_pencil(np.random.default_rng(40 + n), n, pd_sum=(n % 2 == 0))
+        p = _symmetric_isometry(n)
+        expected = p.T @ _full_kronecker(pp) @ p
+        got = _symmetric_kronecker_form(pp)
+        assert got.shape == (n * (n + 1) // 2,) * 2
+        assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+    pp = random_posh_pencil(np.random.default_rng(46), 1)
+    value = pp.j1[0, 0] * pp.j2[0, 0] - pp.r1[0, 0] * pp.r2[0, 0]
+    assert _symmetric_kronecker_form(pp) == pytest.approx(np.array([[value]]), rel=1e-15)
+    empty = np.zeros((0, 0))
+    assert eejjx_by_kronecker(PoshPencil(empty, empty, empty, empty))
+
+
+def test_kronecker_prover_on_the_symmetric_subspace_proves_more():
+    # the full-space K has lambda_max near +1.57, its compression near -0.43
+    pp = random_posh_pencil(np.random.default_rng(13_069), 4, pd_sum=True)
+    assert np.linalg.eigvalsh(_full_kronecker(pp))[-1] > 1.0
+    assert eejjx_by_kronecker(pp)
+    cert = lhp_certificate(pp, 500, 500, 69)
+    assert cert.eejjx_status == "proved_by_kronecker"
+    assert cert.conclusion == "numrange_in_lhp"
+    assert eejjx_falsify(pp, 10_000, 69) is None
+
+
+def test_certificate_gate_matches_provers_then_falsifier():
+    # reference: every prover (Kronecker on the full space) first, then the
+    # whole falsifier; the gated pipeline may differ only by proving with
+    # the compressed Kronecker prover what the full-space one could not
+    budget = 500
+    witness_phases = set()
+    for k in range(200):
+        pp = _criterion_13_pencil(k)
+        cert = lhp_certificate(pp, budget, budget, k)
+        w = np.linalg.eigvalsh(_full_kronecker(pp))
+        full_kronecker = w[-1] <= 64.0 * EPS * max(abs(w[0]), abs(w[-1]))
+        witness = None
+        if eejjx_by_norms(pp):
+            expected = "proved_by_norms"
+        elif full_kronecker:
+            expected = "proved_by_kronecker"
+        elif eejjx_by_spectral(pp):
+            expected = "proved_by_spectral"
+        else:
+            witness = eejjx_falsify(pp, budget, k)
+            expected = "unknown" if witness is None else "falsified"
+        if expected == "unknown" and cert.eejjx_status != "unknown":
+            assert cert.eejjx_status == "proved_by_kronecker", f"instance {k}"
+            assert eejjx_by_kronecker(pp)
+            continue
+        assert cert.eejjx_status == expected, f"instance {k}"
+        if expected == "falsified":
+            assert cert.witness.tobytes() == witness.tobytes(), f"instance {k}"
+            first, _ = _random_phase(pp, budget, k)
+            witness_phases.add("random" if first is not None else "ascent")
+    assert witness_phases == {"random", "ascent"}
 
 
 def test_real_form_falsifier_requires_real_data():
