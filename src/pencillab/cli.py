@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .core import AXIS_TOL, Pencil, PoshPencil, spectral_norm, validate_posh
+from .core import AXIS_TOL, STRUCTURE_DRIFT_TOL, Pencil, PoshPencil, spectral_norm, validate_posh
 from .dh import GENERAL_Q, Q_IDENTITY, check_dh_equivalence, realize_dh
 from .errors import (
     DimensionError,
@@ -349,9 +349,7 @@ def cmd_certify(args) -> int:
     obj = load_pencil_file(args.file)
     pp = _as_posh(obj)
     seed = _resolve_seed(args)
-    cert = lhp_certificate(
-        pp, sample_budget=args.budget, falsify_budget=args.budget, seed=seed
-    )
+    cert = lhp_certificate(pp, falsify_budget=args.budget, seed=seed)
     print(
         f"eejjx: {cert.eejjx_status}; route: {cert.hypothesis_route}; "
         f"conclusion: {cert.conclusion} ({cert.evidence})"
@@ -388,7 +386,7 @@ def _detect_mgt(poly: MatrixPolynomial):
     a0, a1, a2, a3 = poly.coefficients
     n = poly.n
     eye = np.eye(n)
-    tol = 1e-10
+    tol = STRUCTURE_DRIFT_TOL
     if spectral_norm(a3 - eye) > tol:
         return None
     a = float(np.real(a2[0, 0])) if n else 0.0
@@ -500,16 +498,12 @@ def cmd_report(args) -> int:
                 max(z.real for z in sample.points) if sample.points else None
             ),
         }
-        cert = lhp_certificate(pp, sample_budget=args.samples, falsify_budget=args.samples, seed=seed)
+        cert = lhp_certificate(pp, falsify_budget=args.samples, seed=seed)
         results["certify"] = _certificate_json(cert)
         # ks is the structure of pp.pencil() when the file holds the posH parts
         results["nocommon_chain"] = _chain_json(
             nocommon_chain_report(
-                pp,
-                sample_budget=args.samples,
-                seed=seed,
-                structure=ks if isinstance(obj, PoshPencil) else None,
-                sample=sample,
+                pp, structure=ks if isinstance(obj, PoshPencil) else None
             )
         )
     rep = _report(
@@ -564,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_beta = add("beta", cmd_beta, "definiteness thresholds and bounds")
     p_beta.add_argument("--scale", type=float, help="report thresholds of the scaled pencil")
     p_cert = add("certify", cmd_certify, "left-half-plane certificate", seed=True)
-    p_cert.add_argument("--budget", type=int, default=2000, help="sampling and falsifier budget")
+    p_cert.add_argument("--budget", type=int, default=2000, help="falsifier budget")
     add("eig", cmd_eig, "print the eigenvalues with multiplicity")
     add("polystab", cmd_polystab, "cubic stability certificate (and MGT form)")
     p_lin = add("lin", cmd_lin, "emit a structured linearization")

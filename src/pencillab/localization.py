@@ -12,8 +12,8 @@ for violating vectors, first at random unit vectors and then by gradient
 ascent.  The certificate pipeline runs the norm prover, then the random
 phase as a gate in front of the two expensive provers, and the ascent
 only when every prover fails.  When the condition is established, one of
-three hypothesis routes upgrades it to a localization of the numerical
-range or of the eigenvalues in the closed left half plane.
+three exact hypothesis routes upgrades it to a localization of the
+numerical range or of the eigenvalues in the closed left half plane.
 """
 
 import cmath
@@ -36,7 +36,7 @@ from .core import (
 )
 from .errors import PreconditionError, RankAmbiguityError
 from .kcf import kronecker_structure
-from .numrange import common_kernel, find_definite_triple, sample_numerical_range
+from .numrange import _kernel_verdicts, common_kernel
 
 QUADFORM_TOL = 1e-10
 KRONECKER_SIZE_CAP = 64
@@ -109,28 +109,14 @@ def eejjx_by_kronecker(pp: PoshPencil) -> bool:
     return float(w[-1]) <= 64.0 * EPS * scale
 
 
-def eejjx_by_spectral(pp: PoshPencil) -> bool:
-    """Pointwise sign test on the Hermitian forms behind J1 and J2.
+def _forms_share_sign(k1, k2, n1: float, n2: float) -> bool:
+    """True when the Hermitian forms x*K1x and x*K2x never take opposite signs.
 
-    True when x*J1x * x*J2x <= 0 for every x, which makes the quadratic-form
-    condition hold since the R terms only help.  Writing J_k = i*K_k with
-    K_k Hermitian, the product condition says the real forms x*K1x and
-    x*K2x never take opposite signs.  That holds exactly when both K's are
-    positive semidefinite, both are negative semidefinite, or one is a
-    nonnegative multiple of the other; eigenvalue conditions on
-    lambda*J1 + J2 alone do not decide it, because an indefinite K1 paired
-    with a non-proportional K2 admits sign-splitting vectors even when all
-    pencil eigenvalues are real, nonpositive and semisimple.
+    n1 and n2 are the spectral norms of K1 and K2.  The forms share a sign
+    exactly when both are positive semidefinite, both are negative
+    semidefinite, or one is a nonnegative multiple of the other, each up
+    to SPECTRAL_RELATIVE_TOL.
     """
-    if pp.n == 0:
-        return True
-    k1 = (-1j) * pp.j1
-    k2 = (-1j) * pp.j2
-    n1 = spectral_norm(k1)
-    n2 = spectral_norm(k2)
-    # a negligible J product cannot push the form past the falsifier scale
-    if n1 * n2 <= SPECTRAL_RELATIVE_TOL * spectral_norm(pp.r1) * spectral_norm(pp.r2):
-        return True
     if n1 == 0.0 or n2 == 0.0:
         return True
     w1 = np.linalg.eigvalsh((k1 + k1.conj().T) / 2.0)
@@ -142,7 +128,7 @@ def eejjx_by_spectral(pp: PoshPencil) -> bool:
     if hi1 <= SPECTRAL_RELATIVE_TOL * n1 and hi2 <= SPECTRAL_RELATIVE_TOL * n2:
         return True
     # proportionality k2 = c*k1 (or the reverse) with c >= 0
-    for a, b, na, nb in ((k1, k2, n1, n2), (k2, k1, n2, n1)):
+    for a, b, nb in ((k1, k2, n2), (k2, k1, n1)):
         denom = float(np.real(np.vdot(a, a)))
         if denom == 0.0:
             continue
@@ -150,6 +136,30 @@ def eejjx_by_spectral(pp: PoshPencil) -> bool:
         if c >= 0.0 and spectral_norm(b - c * a) <= SPECTRAL_RELATIVE_TOL * nb:
             return True
     return False
+
+
+def eejjx_by_spectral(pp: PoshPencil) -> bool:
+    """Pointwise sign test on the Hermitian forms behind J1 and J2.
+
+    True when x*J1x * x*J2x <= 0 for every x, which makes the quadratic-form
+    condition hold since the R terms only help.  Writing J_k = i*K_k with
+    K_k Hermitian, the product condition says the real forms x*K1x and
+    x*K2x never take opposite signs, which _forms_share_sign decides;
+    eigenvalue conditions on lambda*J1 + J2 alone do not decide it, because
+    an indefinite K1 paired with a non-proportional K2 admits sign-splitting
+    vectors even when all pencil eigenvalues are real, nonpositive and
+    semisimple.
+    """
+    if pp.n == 0:
+        return True
+    k1 = (-1j) * pp.j1
+    k2 = (-1j) * pp.j2
+    n1 = spectral_norm(k1)
+    n2 = spectral_norm(k2)
+    # a negligible J product cannot push the form past the falsifier scale
+    if n1 * n2 <= SPECTRAL_RELATIVE_TOL * spectral_norm(pp.r1) * spectral_norm(pp.r2):
+        return True
+    return _forms_share_sign(k1, k2, n1, n2)
 
 
 def _eejjx_threshold(pp: PoshPencil) -> float:
@@ -272,8 +282,8 @@ class LhpCertificate:
     eejjx_status: proved_by_norms | proved_by_kronecker | proved_by_spectral
         | falsified | unknown.
     hypothesis_route: no_isotropic | skew_numrange_lhp | skew_structure | none.
-    conclusion: numrange_in_lhp | eigenvalues_in_lhp | none, with its
-    evidence class (exact or sampled).
+    conclusion: numrange_in_lhp | eigenvalues_in_lhp | none.
+    evidence: exact for a conclusion or a falsified status, none otherwise.
     """
 
     eejjx_status: str
@@ -294,21 +304,8 @@ class LhpCertificate:
                 raise PreconditionError("eigenvalue conclusion without a valid route")
 
 
-def _no_isotropic_evidence(pp: PoshPencil):
-    """Exact certificate that the coefficients share no isotropic vector."""
-    if common_kernel([pp.r1, pp.r2]).shape[1] == 0:
-        return "trivial intersection of ker R1 and ker R2"
-    if pp.n < 2:
-        return None
-    found = find_definite_triple(pp)
-    if found is None:
-        return None
-    return "definite combination of {%s}, lambda_min %.3g" % (", ".join(found[0]), found[1])
-
-
 def lhp_certificate(
     pp: PoshPencil,
-    sample_budget: int = 2000,
     falsify_budget: int = 2000,
     seed: int = 0,
 ) -> LhpCertificate:
@@ -321,10 +318,12 @@ def lhp_certificate(
     the falsifier's gradient-ascent phase run.  A prover's acceptance bounds
     every form value far below the falsifier's threshold, so the outcome is
     that of all provers followed by eejjx_falsify.  A proved condition is
-    combined with the first hypothesis route that can be established: no
-    common isotropic vector (numerical range localized), the structure
-    route through lambda*J1+J2 (eigenvalues localized), or the sampled skew
-    numerical range (localization with sampled evidence only).
+    combined with the first hypothesis route that an exact test
+    establishes: no common isotropic vector, condition (d) of
+    nocommon_chain_report (numerical range localized); the structure route
+    through lambda*J1+J2 (eigenvalues localized); or the skew numerical
+    range in the closed left half plane, which holds exactly when the forms
+    of -iJ1 and -iJ2 never take opposite signs (numerical range localized).
     """
     notes = []
     status = None
@@ -351,11 +350,13 @@ def lhp_certificate(
         notes.append("provers inconclusive and no violating vector found")
         return LhpCertificate("unknown", "none", "none", "none", None, tuple(notes))
 
-    evidence_a = _no_isotropic_evidence(pp)
-    if evidence_a is not None:
-        notes.append(evidence_a)
-        if pp.n < 3:
-            notes.append("size below 3: combination certificates remain sufficient")
+    kernels, _, isotropic = _kernel_verdicts(pp)
+    if kernels.value is True or isotropic.value is True:
+        notes.append(
+            "trivial intersection of ker R1 and ker R2"
+            if kernels.value is True
+            else f"no common isotropic vector: {isotropic.detail}"
+        )
         return LhpCertificate(
             status, "no_isotropic", "numrange_in_lhp", "exact", None, tuple(notes)
         )
@@ -386,23 +387,14 @@ def lhp_certificate(
                     None,
                     tuple(notes),
                 )
-        skew_sample = sample_numerical_range(
-            Pencil(pp.j1, pp.j2, PLUS), sample_budget, seed
-        )
-        if all(
-            z.real <= AXIS_TOL * (1.0 + abs(z)) for z in skew_sample.points
-        ):
+        k1, k2 = (-1j) * pp.j1, (-1j) * pp.j2
+        if _forms_share_sign(k1, k2, spectral_norm(k1), spectral_norm(k2)):
             notes.append(
-                "skew numerical range sampled at "
-                f"{len(skew_sample.points)} points, none in the open right half plane"
+                "skew numerical range in the closed left half plane: "
+                "the forms of -iJ1 and -iJ2 never take opposite signs"
             )
             return LhpCertificate(
-                status,
-                "skew_numrange_lhp",
-                "numrange_in_lhp",
-                "sampled",
-                None,
-                tuple(notes),
+                status, "skew_numrange_lhp", "numrange_in_lhp", "exact", None, tuple(notes)
             )
     notes.append("no hypothesis route established")
     return LhpCertificate(status, "none", "none", "none", None, tuple(notes))

@@ -7,7 +7,7 @@ real axis; the opening is governed by definiteness thresholds beta_plus
 and beta_minus.  This module samples the range, computes the thresholds by
 Cholesky bisection, tests pacman membership, and evaluates the chain of
 regularity conditions linking kernel intersections, range geometry and
-isotropic vectors.
+isotropic vectors on W = ker R1 n ker R2.
 """
 
 import cmath
@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .core import (
-    AXIS_TOL,
     EPS,
     Pencil,
     PoshPencil,
@@ -41,9 +41,6 @@ EMISSION_RESIDUAL = 1e-10
 # bracket width at which the definiteness bisection stops
 BISECT_TOL = 1e-9
 FLOAT_MAX = float(np.finfo(np.float64).max)
-# points per angle of the definite-combination grid, and ascent steps after it
-COMBINATION_GRID = 26
-COMBINATION_REFINE_STEPS = 60
 
 
 @dataclass(frozen=True)
@@ -240,11 +237,12 @@ def pacman_excludes(region: PacmanRegion, z: complex) -> bool:
     return -beta < z.imag <= 0.0 and -angle < arg <= 0.0
 
 
-def common_kernel(matrices) -> np.ndarray:
-    """Orthonormal basis of the intersection of the kernels.
+def _kernel_with_gap(matrices) -> tuple:
+    """Orthonormal basis of the intersection of the kernels, and its rank gap.
 
-    The basis comes from an SVD of the stacked matrix; an empty basis is
-    an n x 0 array.
+    The basis comes from an SVD of the stacked matrix; an empty basis is an
+    n x 0 array.  The gap is the smaller factor by which the kept and the
+    dropped singular values clear the rank cutoff (inf for an empty side).
     """
     mats = [as_complex_matrix(m, f"matrix {i}") for i, m in enumerate(matrices)]
     if not mats:
@@ -254,109 +252,32 @@ def common_kernel(matrices) -> np.ndarray:
         if m.shape[1] != n:
             raise DimensionError("matrices must have equal column counts")
     if n == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
+        return np.zeros((0, 0), dtype=np.complex128), math.inf
     stack = np.vstack(mats)
     scale = spectral_norm(stack)
     if scale == 0.0:
-        return np.eye(n, dtype=np.complex128)
+        return np.eye(n, dtype=np.complex128), math.inf
     _, sv, vh = np.linalg.svd(stack)
     tol = max(stack.shape) * EPS * scale * 16.0
     rank = int(np.count_nonzero(sv > tol))
-    return np.ascontiguousarray(vh[rank:].conj().T)
+    kept = sv[rank - 1] / tol if rank else math.inf
+    dropped = tol / sv[rank] if rank < sv.size and sv[rank] > 0.0 else math.inf
+    return np.ascontiguousarray(vh[rank:].conj().T), float(min(kept, dropped))
 
 
-def find_definite_combination(h1, h2, h3):
-    """Search for alpha*h1 + beta*h2 + gamma*h3 positive definite.
-
-    Coarse spherical grid over unit (alpha, beta, gamma) followed by a
-    projected ascent on the smallest eigenvalue.  Returns
-    (alpha, beta, gamma, lambda_min) with lambda_min above the roundoff
-    cutoff 16*n*eps*max ||h_k||, or None.  A None result does not prove that
-    no definite combination exists.
-    """
-    mats = [
-        _hermitized(as_complex_matrix(h, name, square=True))
-        for h, name in ((h1, "h1"), (h2, "h2"), (h3, "h3"))
-    ]
-    n = mats[0].shape[0]
-    for m in mats[1:]:
-        if m.shape[0] != n:
-            raise DimensionError("matrices must share one size")
-    if n < 2:
-        raise PreconditionError("combination search needs size at least 2")
-
-    def lam_min(coeffs):
-        m = coeffs[0] * mats[0] + coeffs[1] * mats[1] + coeffs[2] * mats[2]
-        return float(np.linalg.eigvalsh(m)[0])
-
-    best = None
-    best_val = -math.inf
-    thetas = np.linspace(0.0, math.pi, COMBINATION_GRID)
-    phis = np.linspace(0.0, 2.0 * math.pi, COMBINATION_GRID, endpoint=False)
-    for theta in thetas:
-        st, ct = math.sin(theta), math.cos(theta)
-        for phi in phis:
-            coeffs = np.array([st * math.cos(phi), st * math.sin(phi), ct])
-            val = lam_min(coeffs)
-            if val > best_val:
-                best_val = val
-                best = coeffs
-            if st == 0.0:
-                break
-
-    x = best
-    step = 0.1
-    current = best_val
-    for _ in range(COMBINATION_REFINE_STEPS):
-        m = x[0] * mats[0] + x[1] * mats[1] + x[2] * mats[2]
-        w, v = np.linalg.eigh(m)
-        vec = v[:, 0]
-        grad = np.array([float(np.real(vec.conj() @ h @ vec)) for h in mats])
-        cand = x + step * grad
-        nrm = np.linalg.norm(cand)
-        if nrm == 0.0:
-            step /= 2.0
-            continue
-        cand /= nrm
-        val = lam_min(cand)
-        if val > current:
-            x, current = cand, val
-            step = min(step * 1.5, 1.0)
-        else:
-            step /= 2.0
-            if step < 1e-12:
-                break
-    # a smallest eigenvalue at roundoff level is no evidence of definiteness
-    cutoff = 16.0 * n * EPS * max(spectral_norm(m) for m in mats)
-    if current > cutoff:
-        return (float(x[0]), float(x[1]), float(x[2]), current)
-    return None
-
-
-def find_definite_triple(pp: PoshPencil):
-    """A definite combination of three of R1, iJ1, R2 and iJ2.
-
-    The triples leave out R1, iJ1, R2 and iJ2 in turn, and the first with a
-    definite combination wins.  Such a combination rules out a common
-    isotropic vector of the coefficients.  Returns (triple names, lambda_min)
-    or None; None proves nothing.
-    """
-    herms = {"R1": pp.r1, "iJ1": 1j * pp.j1, "R2": pp.r2, "iJ2": 1j * pp.j2}
-    for skip in herms:
-        triple = [name for name in herms if name != skip]
-        combo = find_definite_combination(*(herms[name] for name in triple))
-        if combo is not None:
-            return triple, combo[3]
-    return None
+def common_kernel(matrices) -> np.ndarray:
+    """Orthonormal basis of the intersection of the kernels (n x 0 when trivial)."""
+    return _kernel_with_gap(matrices)[0]
 
 
 @dataclass(frozen=True)
 class ChainVerdict:
-    """One condition's outcome: True/False/None plus how it was obtained."""
+    """One condition's outcome: True/False/None, how it was obtained, a witness."""
 
     value: bool | None
     evidence: str
     detail: str = ""
+    witness: object = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -381,105 +302,210 @@ class NocommonChainReport:
     notes: tuple = field(default_factory=tuple)
 
 
-_EVIDENCE_RANK = {"exact": 3, "sampled": 2, "heuristic": 1}
+_EVIDENCE_RANK = {"exact": 2, "sampled": 1, "none": 0}
 
-PROBE_GAP_FACTOR = 0.2
+# a kernel rank gap below this factor makes every verdict on W a close call
+KERNEL_GAP_MIN = 8.0
+# support points the isotropic-vector search adds before it gives up
+SUPPORT_STEPS = 32
+_OPEN = ChainVerdict(None, "none")
 
 
-def _probe_gap_not_whole_plane(points) -> tuple:
-    """Largest relative clearance between a probe grid and the samples."""
-    if not points:
-        return True, math.inf
-    pts = np.asarray(points, dtype=np.complex128)
-    radius = max(1.0, float(np.max(np.abs(pts))))
-    best = 0.0
-    for r in (0.5 * radius, radius, 2.0 * radius):
-        for k in range(16):
-            probe = r * cmath.exp(2j * math.pi * k / 16.0)
-            gap = float(np.min(np.abs(pts - probe))) / (1.0 + abs(probe))
-            best = max(best, gap)
-    return best > PROBE_GAP_FACTOR, best
+def _definite_rotation(a: np.ndarray, margin: float) -> float | None:
+    """An angle theta with Re(exp(i theta) a) above margin*I, or None.
+
+    Re(exp(i theta) a) is singular exactly where exp(2i theta) is an
+    eigenvalue of the pencil w*a + a*, and its inertia is constant between
+    consecutive such angles (Higham, Tisseur and Van Dooren, LAA 351-352,
+    2002), so a Cholesky test at the midpoint of every arc between them
+    decides whether some rotation is definite.
+    """
+    w = scipy.linalg.eigvals(a.conj().T, -a)
+    half = np.angle(w[np.isfinite(w)]) / 2.0
+    cuts = np.sort(np.concatenate([half, half + math.pi]) % (2.0 * math.pi))
+    mids = cuts + np.diff(np.append(cuts, cuts[:1] + 2.0 * math.pi)) / 2.0
+    shift = margin * np.eye(a.shape[0])
+    for theta in mids if cuts.size else (0.0,):
+        if is_positive_definite(_hermitized(cmath.exp(1j * theta) * a) - shift):
+            return float(theta) % (2.0 * math.pi)
+    return None
+
+
+def _cross(u: complex, v: complex) -> float:
+    return (u.conjugate() * v).imag
+
+
+def _left_of(p: complex, q: complex, tol: float) -> bool:
+    """0 lies left of the edge p -> q or within tol of it; a shorter edge passes."""
+    d = q - p
+    return abs(d) <= tol or _cross(d, -p) >= -tol * abs(d)
+
+
+def _two_vector_solve(a: np.ndarray, p, q, minimize: bool):
+    """Unit y in span{p, q} with Re(y*ay) = 0; Re(p*ap) and Re(q*aq) straddle 0.
+
+    Such y form one circle of phases, along which Im(y*ay) is a sinusoid;
+    y takes its minimum when minimize is set, and otherwise a zero of it,
+    which exists when 0 lies in the field of values of a on the span.
+    """
+    basis, _ = np.linalg.qr(np.column_stack([p, q]))
+    c = basis.conj().T @ a @ basis
+    lam, v = np.linalg.eigh(_hermitized(c))
+    lo, hi = min(float(lam[0]), 0.0), max(float(lam[1]), 0.0)
+    if hi == lo:
+        return None
+    im = v.conj().T @ _hermitized(-1j * c) @ v
+    mid = hi * im[0, 0].real - lo * im[1, 1].real
+    amp = 2.0 * math.sqrt(-lo * hi) * abs(im[0, 1])
+    cos = -1.0 if minimize or amp == 0.0 else min(1.0, max(-1.0, -mid / amp))
+    turn = im[0, 1].conjugate() / abs(im[0, 1]) if amp else 1.0
+    phase = cmath.exp(1j * math.acos(cos)) * turn
+    y = basis @ (math.sqrt(hi) * v[:, 0] + phase * math.sqrt(-lo) * v[:, 1])
+    return y / np.linalg.norm(y)
+
+
+def _isotropic_vector(a: np.ndarray, margin: float):
+    """A unit y with y*ay = 0 up to roundoff, or None.
+
+    Support points of the field of values W(a) are added in the directions
+    of polygon edges that keep 0 outside, until the polygon holds 0 (Uhlig,
+    Inverse Problems 24, 2008; Carden, Inverse Problems 25, 2009).  Two
+    vertices on one line through 0 are then joined by one two-vector solve;
+    otherwise the fan triangle from the farthest vertex c that holds 0 gives
+    a value on the line through c and 0, beyond 0, and a second solve joins
+    it to c.
+    """
+
+    def support(phi):
+        y = np.linalg.eigh(_hermitized(cmath.exp(-1j * phi) * a))[1][:, -1]
+        return y, complex(y.conj() @ a @ y)
+
+    points = {phi: support(phi) for phi in (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)}
+    for _ in range(SUPPORT_STEPS):
+        ring = [points[phi] for phi in sorted(points)]
+        near = [y for y, z in ring if abs(z) <= margin]
+        if near:
+            return near[0]
+        zs = [z for _, z in ring]
+        out = [q - p for p, q in zip(zs, zs[1:] + zs[:1]) if not _left_of(p, q, margin)]
+        if not out:
+            return _surrounded_zero(a, ring, margin)
+        phi = cmath.phase(-1j * out[0]) % (2.0 * math.pi)  # outward normal of that edge
+        if phi in points:
+            return None
+        points[phi] = support(phi)
+        if (cmath.exp(-1j * phi) * points[phi][1]).real < 0.0:
+            return None  # 0 lies outside W(a)
+    return None
+
+
+def _surrounded_zero(a: np.ndarray, ring, tol: float):
+    """y with y*ay = 0 from support points (y, z) whose polygon holds 0."""
+    ys = [y for y, _ in ring]
+    zs = [z for _, z in ring]
+    for i in range(len(zs)):
+        for j in range(i):
+            zi, zj = zs[i], zs[j]
+            opposite = (zi.conjugate() * zj).real < 0.0
+            if opposite and abs(_cross(zi, zj)) <= tol * max(abs(zi), abs(zj)):
+                return _two_vector_solve(abs(zi) / zi * a, ys[j], ys[i], False)
+    m = len(zs)
+    c = int(np.argmax(np.abs(zs)))
+    rot = abs(zs[c]) / zs[c]
+    for j in range(1, m - 1):
+        ia, ib = (c + j) % m, (c + j + 1) % m
+        tri = (zs[c], zs[ia], zs[ib])
+        if _cross(tri[1] - tri[0], tri[2] - tri[0]) > tol * abs(zs[c]) and all(
+            _left_of(tri[i - 1], tri[i], tol) for i in range(3)
+        ):
+            u = _two_vector_solve(1j * rot * a, ys[ia], ys[ib], True)
+            return None if u is None else _two_vector_solve(rot * a, u, ys[c], False)
+    return None
+
+
+def _positive_real_verdict(h1, h2, margin: float) -> ChainVerdict:
+    """(b) on W, where every positive real range point -(y*H2y)/(y*H1y) lies.
+
+    The joint range of (H1, H2) is convex, so the points miss the positive
+    reals exactly when H1 and H2 are semidefinite of one sign with a
+    definite sum.
+    """
+    k = h1.shape[0]
+    w1, v1 = np.linalg.eigh(h1)
+    w2, v2 = np.linalg.eigh(h2)
+    for sign in (1.0, -1.0):
+        if min(sign * w1[0], sign * w1[-1], sign * w2[0], sign * w2[-1]) >= -margin and (
+            is_positive_definite(sign * (h1 + h2) - margin * np.eye(k))
+        ):
+            detail = f"forms of -iJ1, -iJ2 of one sign on W (dim {k}), definite sum"
+            return ChainVerdict(True, "exact", detail)
+    # an eigenvector of H1 or H2 whose two forms clearly differ in sign gives a point
+    for y in np.hstack([v1, v2]).T:
+        f1, f2 = (float(np.real(y.conj() @ h @ y)) for h in (h1, h2))
+        if f1 * f2 < 0.0 and min(abs(f1), abs(f2)) > margin:
+            detail = f"positive real range point {-f2 / f1:.4g} from W (dim {k})"
+            return ChainVerdict(False, "exact", detail)
+    return ChainVerdict(False, "exact", f"forms of -iJ1, -iJ2 on W (dim {k}) split in sign")
+
+
+def _kernel_verdicts(pp: PoshPencil) -> tuple:
+    """Conditions (a), (b) and (d), decided on W = ker R1 n ker R2.
+
+    A positive real range point or a common isotropic vector annihilates R1
+    and R2, so it lies in W.  With B an orthonormal basis of W and
+    H_k = B*(-iJ_k)B, (b) is a sign test on H1 and H2, and (d) holds
+    exactly when 0 is not in the field of values of H1 + iH2: proved by a
+    definite rotation, refuted by a witness x = By checked on all four
+    coefficients.  For W = {0}, (b) and (d) are left to the implications
+    from (a); a close rank gap or a close call on (d) gives None.
+    """
+    basis, gap = _kernel_with_gap([pp.r1, pp.r2])
+    k = basis.shape[1]
+    dim = f"dim(ker R1 n ker R2) = {k}"
+    if gap < KERNEL_GAP_MIN:
+        close = ChainVerdict(None, "none", f"{dim} is a close call, rank gap {gap:.3g}")
+        return close, close, close
+    if k == 0:
+        return ChainVerdict(True, "exact", dim), _OPEN, _OPEN
+    h1 = _hermitized(basis.conj().T @ (-1j * pp.j1) @ basis)
+    h2 = _hermitized(basis.conj().T @ (-1j * pp.j2) @ basis)
+    # roundoff allowances scale with the whole pencil, as its rank decisions do
+    mats = (pp.j1, pp.r1, pp.j2, pp.r2)
+    scale = max(spectral_norm(m) for m in mats)
+    margin = 16.0 * k * EPS * scale
+    theta = _definite_rotation(h1 + 1j * h2, margin)
+    y = None if theta is not None else _isotropic_vector(h1 + 1j * h2, margin)
+    x = None if y is None else basis @ y
+    if theta is not None:
+        detail = f"Re(exp(i*{theta:.4g})(H1 + iH2)) definite on W (dim {k})"
+        d = ChainVerdict(True, "exact", detail)
+    elif x is not None and all(
+        abs(x.conj() @ m @ x) <= 64.0 * pp.n * EPS * scale for m in mats
+    ):
+        d = ChainVerdict(False, "exact", f"common isotropic vector in W (dim {k})", witness=x)
+    else:
+        detail = f"0 within roundoff of the edge of W(H1 + iH2), W of dim {k}"
+        d = ChainVerdict(None, "none", detail)
+    return ChainVerdict(False, "exact", dim), _positive_real_verdict(h1, h2, margin), d
 
 
 def nocommon_chain_report(
     pp: PoshPencil,
-    sample_budget: int = 2000,
-    seed: int = 0,
     structure: KroneckerStructure | None = None,
-    sample: NumRangeSample | None = None,
 ) -> NocommonChainReport:
     """Evaluate the condition chain (a) through (e) on one pencil.
 
-    Kernel and regularity checks are exact; the numerical-range conditions
-    are sampled; the isotropic-vector condition uses definite-combination
-    certificates.  After the individual tests the chain implications are
-    closed off, with exact evidence overriding sampled evidence.  structure,
-    when given, must be the Kronecker structure of pp.pencil(), and sample,
-    when given, must be sample_numerical_range(pp.pencil(), sample_budget,
-    seed); they are then not computed again.
+    (a), (b) and (d) are exact tests on W = ker R1 n ker R2.  (c) has no
+    test of its own: it comes from the implications alone, so it is None
+    when (b) is false and (d) is true.  (e) reads the Kronecker structure,
+    given as structure or computed, and only when that is ambiguous falls
+    back to a randomized probe, labelled sampled.  The implications are then
+    closed off, with exact evidence overriding sampled evidence.
     """
     notes = []
     real_case = pp.is_real
-    n = pp.n
-
-    kernel_ab = common_kernel([pp.r1, pp.r2])
-    a = ChainVerdict(
-        kernel_ab.shape[1] == 0,
-        "exact",
-        f"dim(ker R1 n ker R2) = {kernel_ab.shape[1]}",
-    )
-
-    if sample is None:
-        sample = sample_numerical_range(pp.pencil(), sample_budget, seed)
-    hit = None
-    for z in sample.points:
-        if z.real > AXIS_TOL and abs(z.imag) <= AXIS_TOL * (1.0 + abs(z)):
-            hit = z
-            break
-    if hit is not None:
-        b = ChainVerdict(False, "sampled", f"positive real range point {hit}")
-    else:
-        b = ChainVerdict(
-            True,
-            "sampled",
-            f"no positive real point among {len(sample.points)} samples",
-        )
-
-    not_plane, gap = _probe_gap_not_whole_plane(sample.points)
-    if not_plane:
-        c = ChainVerdict(True, "sampled", f"probe clearance {gap:.3g}")
-    else:
-        c = ChainVerdict(None, "sampled", f"probe clearance only {gap:.3g}")
-
-    if real_case:
-        stack_kernel = common_kernel([pp.r1.real, pp.r2.real])
-        if stack_kernel.shape[1] > 0:
-            d = ChainVerdict(
-                False,
-                "exact",
-                "real vector in ker R1 n ker R2 is isotropic for both coefficients",
-            )
-        else:
-            d = ChainVerdict(True, "exact", "no real common kernel vector")
-    else:
-        four_kernel = common_kernel([pp.j1, pp.r1, pp.j2, pp.r2])
-        if four_kernel.shape[1] > 0:
-            d = ChainVerdict(
-                False, "exact", "common kernel vector of all four matrices"
-            )
-        elif n == 1:
-            d = ChainVerdict(True, "exact", "nonzero scalar coefficient")
-        else:
-            found = find_definite_triple(pp)
-            if found is None:
-                d = ChainVerdict(None, "heuristic", "no definite combination found")
-            else:
-                d = ChainVerdict(
-                    True,
-                    "heuristic",
-                    "definite combination of {%s} with lambda_min %.3g"
-                    % (", ".join(found[0]), found[1]),
-                )
+    a, b, d = _kernel_verdicts(pp)
+    c = ChainVerdict(None, "none", "no test of its own; open unless (b) or (d) implies it")
 
     try:
         if structure is None:
@@ -488,12 +514,6 @@ def nocommon_chain_report(
     except RankAmbiguityError as exc:
         e = ChainVerdict(
             probe_regular(pp.pencil()), "sampled", f"rank ambiguity: {exc}"
-        )
-
-    if n < 3 and not real_case:
-        notes.append(
-            "size below 3: joint numerical ranges need not be convex, "
-            "combination certificates are heuristic only"
         )
 
     verdicts = [a, b, c, d, e]
@@ -507,51 +527,28 @@ def nocommon_chain_report(
     labels = "abcde"
 
     def force(idx, val, src_idx):
-        cur = verdicts[idx]
-        src = verdicts[src_idx]
+        cur, src = verdicts[idx], verdicts[src_idx]
         detail = f"implied by ({labels[src_idx]})"
-        if cur.value is None:
-            verdicts[idx] = ChainVerdict(val, src.evidence, detail)
-            return True
-        if cur.value == val:
-            if _EVIDENCE_RANK[src.evidence] > _EVIDENCE_RANK[cur.evidence]:
-                verdicts[idx] = ChainVerdict(val, src.evidence, detail)
-                return True
-            return False
-        if _EVIDENCE_RANK[src.evidence] > _EVIDENCE_RANK[cur.evidence]:
+        stronger = _EVIDENCE_RANK[src.evidence] > _EVIDENCE_RANK[cur.evidence]
+        if cur.value is not None and cur.value != val:
             msg = (
-                f"({labels[idx]}) {cur.evidence} verdict {cur.value} "
-                f"overridden: {detail}"
+                f"({labels[idx]}) {cur.evidence} verdict {cur.value} overridden: {detail}"
+                if stronger
+                else f"conflict: ({labels[src_idx]}) implies ({labels[idx]})={val} "
+                f"but kept {cur.value}"
             )
             if msg not in notes:
                 notes.append(msg)
+        if cur.value is None or stronger:
             verdicts[idx] = ChainVerdict(val, src.evidence, detail)
             return True
-        msg = (
-            f"conflict: ({labels[src_idx]}) implies ({labels[idx]})={val} "
-            f"but kept {cur.value}"
-        )
-        if msg not in notes:
-            notes.append(msg)
         return False
 
-    changed = True
-    guard = 0
-    while changed and guard < 16:
+    for _ in range(16):
         changed = False
-        guard += 1
         for i, j in implications:
-            if verdicts[i].value is True and force(j, True, i):
-                changed = True
-            if verdicts[j].value is False and force(i, False, j):
-                changed = True
-
-    return NocommonChainReport(
-        a=verdicts[0],
-        b=verdicts[1],
-        c=verdicts[2],
-        d=verdicts[3],
-        e=verdicts[4],
-        real_case=real_case,
-        notes=tuple(notes),
-    )
+            changed |= verdicts[i].value is True and force(j, True, i)
+            changed |= verdicts[j].value is False and force(i, False, j)
+        if not changed:
+            break
+    return NocommonChainReport(*verdicts, real_case=real_case, notes=tuple(notes))

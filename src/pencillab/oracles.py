@@ -365,6 +365,15 @@ def random_unitary(rng, n: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def random_shared_kernel_posh_pencil(rng, n: int, k: int) -> PoshPencil:
+    """Random posH pencil whose R1 and R2 vanish on a random k-dimensional subspace."""
+    rng = np.random.default_rng(rng)
+    comp = random_unitary(rng, n)[:, k:]
+    r1, r2 = (comp @ random_psd_matrix(rng, n - k) @ comp.conj().T for _ in range(2))
+    j1, j2 = random_skew_matrix(rng, n), random_skew_matrix(rng, n)
+    return PoshPencil(j1, (r1 + r1.conj().T) / 2.0, j2, (r2 + r2.conj().T) / 2.0)
+
+
 def random_singular_posh_pencil(rng, n: int, null_dim: int | None = None) -> PoshPencil:
     """Singular posH pencil built by padding a common kernel, then congruence."""
     rng = np.random.default_rng(rng)

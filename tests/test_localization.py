@@ -114,7 +114,7 @@ def test_kronecker_prover_on_the_symmetric_subspace_proves_more():
     pp = random_posh_pencil(np.random.default_rng(13_069), 4, pd_sum=True)
     assert np.linalg.eigvalsh(_full_kronecker(pp))[-1] > 1.0
     assert eejjx_by_kronecker(pp)
-    cert = lhp_certificate(pp, 500, 500, 69)
+    cert = lhp_certificate(pp, 500, 69)
     assert cert.eejjx_status == "proved_by_kronecker"
     assert cert.conclusion == "numrange_in_lhp"
     assert eejjx_falsify(pp, 10_000, 69) is None
@@ -128,7 +128,7 @@ def test_certificate_gate_matches_provers_then_falsifier():
     witness_phases = set()
     for k in range(200):
         pp = _criterion_13_pencil(k)
-        cert = lhp_certificate(pp, budget, budget, k)
+        cert = lhp_certificate(pp, budget, k)
         w = np.linalg.eigvalsh(_full_kronecker(pp))
         full_kronecker = w[-1] <= 64.0 * EPS * max(abs(w[0]), abs(w[-1]))
         witness = None
@@ -202,7 +202,7 @@ def test_certificate_consistent_with_spectrum():
                 pp.j2,
                 pp.r2 + 3.0 * np.eye(n),
             )
-        cert = lhp_certificate(pp, sample_budget=400, falsify_budget=400, seed=k)
+        cert = lhp_certificate(pp, falsify_budget=400, seed=k)
         if cert.conclusion == "none":
             continue
         concluded += 1

@@ -10,14 +10,18 @@ from pencillab.numrange import (
     PacmanRegion,
     beta_thresholds,
     beta_thresholds_scaled,
+    common_kernel,
     definiteness_threshold,
-    find_definite_combination,
     nocommon_chain_report,
     pacman_excludes,
     rayleigh_point,
     sample_numerical_range,
 )
-from pencillab.oracles import random_posh_pencil
+from pencillab.oracles import (
+    random_posh_pencil,
+    random_psd_matrix,
+    random_shared_kernel_posh_pencil,
+)
 
 
 def test_rayleigh_point_diagonal():
@@ -54,7 +58,7 @@ def test_empty_pencil_discards_every_draw():
     assert sample.points == ()
     assert sample.discarded == 5 and sample.sample_count == 5
     assert sample_numerical_range(Pencil(z, z), 0).discarded == 0
-    chain = nocommon_chain_report(PoshPencil(z, z, z, z), sample_budget=5)
+    chain = nocommon_chain_report(PoshPencil(z, z, z, z))
     assert chain.a.value is True and chain.e.value is True
 
 
@@ -158,22 +162,6 @@ def test_sampled_points_avoid_pacman_regions():
             assert not hits
 
 
-def test_find_definite_combination_certifies():
-    # three PSD matrices whose sum is PD: (1,1,1) works
-    h1 = np.diag([1.0, 0.0, 0.0])
-    h2 = np.diag([0.0, 1.0, 0.0])
-    h3 = np.diag([0.0, 0.0, 1.0])
-    combo = find_definite_combination(h1, h2, h3)
-    assert combo is not None
-    a, b, c, lam = combo
-    evs = np.linalg.eigvalsh(a * h1 + b * h2 + c * h3)
-    assert evs.min() > 0
-    assert abs(evs.min() - lam) < 1e-9
-    # a shared kernel vector defeats every combination
-    k = np.diag([0.0, 1.0, 1.0])
-    assert find_definite_combination(k, k, k) is None
-
-
 @pytest.mark.parametrize("n", [6, 8])
 def test_shared_isotropic_vector_defeats_combinations(n):
     # real skew J1, J2 = J1/2 and PSD R1, R2 with a common kernel vector k:
@@ -191,20 +179,16 @@ def test_shared_isotropic_vector_defeats_combinations(n):
         return (m + m.T) / 2.0
 
     pp = PoshPencil(j1, psd_killing_k(), j1 / 2.0, psd_killing_k())
-    herms = [pp.r1, 1j * pp.j1, pp.r2, 1j * pp.j2]
-    for skip in range(4):
-        triple = [h for i, h in enumerate(herms) if i != skip]
-        assert find_definite_combination(*triple) is None
-    cert = lhp_certificate(pp, sample_budget=200, falsify_budget=200, seed=1)
+    cert = lhp_certificate(pp, falsify_budget=200, seed=1)
     assert cert.hypothesis_route != "no_isotropic"
-    rep = nocommon_chain_report(pp, sample_budget=200, seed=1)
+    rep = nocommon_chain_report(pp)
     assert rep.d.value is not True
 
 
 def test_chain_report_strictly_dissipative():
     rng = np.random.default_rng(8)
     pp = random_posh_pencil(rng, 3, pd_sum=True)
-    rep = nocommon_chain_report(pp, sample_budget=500, seed=1)
+    rep = nocommon_chain_report(pp)
     assert rep.a.value is True
     assert rep.a.evidence == "exact"
     # chain closure: a forces everything downstream
@@ -217,7 +201,7 @@ def test_chain_report_common_kernel():
     j = np.zeros((2, 2))
     r = np.diag([0.0, 1.0])
     pp = PoshPencil(j, r, j, r)
-    rep = nocommon_chain_report(pp, sample_budget=200, seed=1)
+    rep = nocommon_chain_report(pp)
     assert rep.a.value is False
     assert rep.d.value is False
     assert rep.e.value is False  # pencil is singular here
@@ -226,6 +210,64 @@ def test_chain_report_common_kernel():
 def test_chain_evidence_ranks():
     rng = np.random.default_rng(21)
     pp = random_posh_pencil(rng, 3, pd_sum=True)
-    rep = nocommon_chain_report(pp, sample_budget=300, seed=5)
+    rep = nocommon_chain_report(pp)
     for link in (rep.a, rep.b, rep.c, rep.d, rep.e):
         assert link.evidence in ("exact", "sampled", "heuristic")
+
+
+def test_chain_finds_the_positive_real_point_of_a_kernel_vector():
+    # ker R1 n ker R2 is spanned by one x whose Rayleigh point is real and
+    # positive, so the range meets the positive reals, while x is not
+    # isotropic for J1 and J2
+    pp = random_posh_pencil(np.random.default_rng(24), 4)
+    kernel = common_kernel([pp.r1, pp.r2])
+    assert kernel.shape[1] == 1
+    mu = rayleigh_point(pp.pencil(), kernel[:, 0])
+    assert mu.real > 1.0 and abs(mu.imag) <= 1e-12 * abs(mu)
+    rep = nocommon_chain_report(pp)
+    assert (rep.b.value, rep.b.evidence) == (False, "exact")
+    assert (rep.d.value, rep.d.evidence) == (True, "exact")
+    assert rep.c.value is None
+
+
+def test_chain_decides_isotropy_on_shared_kernels():
+    # R1 and R2 vanish on a random W: a common isotropic vector, when there
+    # is one, comes with a witness; otherwise some rotation of
+    # H1 + iH2 = B*(J2 - iJ1)B has a definite Hermitian part, which a fine
+    # grid of angles confirms
+    outcomes = set()
+    for s in range(20):
+        rng = np.random.default_rng(s)
+        n = int(rng.integers(3, 8))
+        pp = random_shared_kernel_posh_pencil(rng, n, int(rng.integers(1, min(6, n - 1) + 1)))
+        d = nocommon_chain_report(pp).d
+        assert d.evidence == "exact" and d.value is not None, f"pencil {s}"
+        outcomes.add(d.value)
+        if d.value is False:
+            x = d.witness
+            assert abs(np.linalg.norm(x) - 1.0) <= 1e-12
+            for m in (pp.j1, pp.j2, pp.r1, pp.r2):
+                assert abs(x.conj() @ m @ x) <= 1e-12 * np.linalg.norm(m, 2), f"pencil {s}"
+        else:
+            basis = common_kernel([pp.r1, pp.r2])
+            a_w = basis.conj().T @ (pp.j2 - 1j * pp.j1) @ basis
+            best = max(
+                np.linalg.eigvalsh((np.exp(1j * t) * a_w + np.exp(-1j * t) * a_w.conj().T) / 2)[0]
+                for t in np.linspace(0.0, 2.0 * math.pi, 3601)
+            )
+            assert best > 0.0, f"pencil {s}"
+    assert outcomes == {True, False}
+
+
+def test_chain_proves_no_positive_reals_on_a_nontrivial_kernel():
+    # W = span(e1, e2), where the forms of -iJ1 and -iJ2 are diag(1, 0) and
+    # diag(0.5, 2): both semidefinite with a definite sum
+    rng = np.random.default_rng(3)
+    k1, k2 = random_psd_matrix(rng, 4) - 2.0, random_psd_matrix(rng, 4)
+    k1[:2, :2] = np.diag([1.0, 0.0])
+    k2[:2, :2] = np.diag([0.5, 2.0])
+    r1, r2 = np.diag([0.0, 0.0, 1.0, 2.0]), np.diag([0.0, 0.0, 3.0, 1.0])
+    rep = nocommon_chain_report(PoshPencil(1j * k1, r1, 1j * k2, r2))
+    assert (rep.a.value, rep.a.evidence) == (False, "exact")
+    assert (rep.b.value, rep.b.evidence) == (True, "exact")
+    assert rep.c.value is True and rep.d.value is True

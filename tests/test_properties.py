@@ -1,4 +1,5 @@
-"""Property tests: invariances of the Kronecker structure, and edge sizes.
+"""Property tests: invariances of the Kronecker structure and of the
+regularity chain, and edge sizes.
 
 Block soups are drawn the way acceptance criterion 5 draws them: up to four
 canonical blocks on three eigenvalues from the grid {-2..2} + i{-2..2},
@@ -26,6 +27,7 @@ from pencillab.oracles import (
     RIGHT_SINGULAR,
     BlockSpec,
     assemble_pencil,
+    random_shared_kernel_posh_pencil,
     random_unitary,
 )
 
@@ -127,7 +129,7 @@ def test_edge_sizes_run_through_every_analysis(pp):
         if check_dh_equivalence(ks).holds:
             assert realize_dh(ks).n == n
     beta_thresholds(pp)
-    cert = lhp_certificate(pp, sample_budget=50, falsify_budget=50)
+    cert = lhp_certificate(pp, falsify_budget=50)
     assert cert.eejjx_status in (
         "proved_by_norms",
         "proved_by_kronecker",
@@ -135,8 +137,35 @@ def test_edge_sizes_run_through_every_analysis(pp):
         "falsified",
         "unknown",
     )
-    chain = nocommon_chain_report(pp, sample_budget=50, structure=ks)
+    chain = nocommon_chain_report(pp, structure=ks)
     regularity = regularity_conditions_report(pp)
     if ks is not None:
         assert chain.e.value is ks.regular
         assert regularity.p_regular is ks.regular
+
+
+@st.composite
+def shared_kernel_pencils(draw):
+    """posH pencils of size 1 to 5 whose R1 and R2 share a kernel of any dimension."""
+    n = draw(st.integers(1, 5))
+    return random_shared_kernel_posh_pencil(
+        draw(st.integers(0, 2**31)), n, draw(st.integers(0, n))
+    )
+
+
+def _chain_values(pp):
+    rep = nocommon_chain_report(pp)
+    return [link.value for link in (rep.a, rep.b, rep.c, rep.d, rep.e)]
+
+
+@settings(max_examples=40)
+@given(pp=shared_kernel_pencils(), seed=st.integers(0, 2**31))
+def test_chain_invariant_under_unitary_congruence_and_skew_sign(pp, seed):
+    # the chain draws no random numbers, so its values must agree exactly
+    u = random_unitary(np.random.default_rng(seed), pp.n)
+    moved = [u.conj().T @ m @ u for m in (pp.j1, pp.r1, pp.j2, pp.r2)]
+    skew = [(m - m.conj().T) / 2.0 for m in moved[::2]]
+    herm = [(m + m.conj().T) / 2.0 for m in moved[1::2]]
+    want = _chain_values(pp)
+    assert _chain_values(PoshPencil(skew[0], herm[0], skew[1], herm[1])) == want
+    assert _chain_values(PoshPencil(-pp.j1, pp.r1, -pp.j2, pp.r2)) == want
