@@ -85,6 +85,18 @@ def spectral_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
+def quadratic_forms(X: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """x_k* a x_k for every row x_k of X, through one BLAS product.
+
+    A three-operand einsum would skip BLAS.  The product a x_k is the only
+    N x n temporary: it is conjugated in place and x_k* a x_k taken as
+    conj(x_k^T conj(a x_k)), which gives the same bits as conj(x_k)^T a x_k.
+    """
+    y = X @ a.T
+    np.conjugate(y, out=y)
+    return np.einsum("ni,ni->n", X, y).conj()
+
+
 def smallest_hermitian_eigenvalue(h: np.ndarray) -> float:
     """Smallest eigenvalue of a Hermitian matrix (0.0 for the empty matrix)."""
     if h.shape[0] == 0:

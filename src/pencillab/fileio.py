@@ -55,7 +55,24 @@ def _parse_complex(value, where: str) -> complex:
 
 
 def parse_matrix(obj, where: str) -> np.ndarray:
-    """Nested [re, im] lists to a complex matrix."""
+    """Nested [re, im] lists, as decoded from JSON, to a complex matrix.
+
+    A well-formed matrix is converted by one array call; anything else is
+    walked entry by entry, so a rejection names the offending entry.
+    """
+    try:
+        arr = np.array(obj)
+    except ValueError:  # ragged nesting
+        arr = None
+    if (
+        arr is not None
+        and arr.dtype.kind in "biuf"
+        and arr.ndim == 3
+        and arr.shape[0] >= 1
+        and arr.shape[2] == 2
+    ):
+        # the float64 (re, im) pairs of a C-ordered array are complex128 entries
+        return np.ascontiguousarray(arr, dtype=np.float64).view(np.complex128)[..., 0]
     if not isinstance(obj, list) or not obj:
         raise InputFormatError(f"{where}: expected a nonempty list of rows")
     width = None
@@ -147,9 +164,9 @@ def atomic_write_text(path: str, text: str):
 
 
 def points_to_csv(points) -> str:
+    """CSV text of Python complex points, one repr-exact re,im row each."""
     lines = ["re,im"]
     for z in points:
-        z = complex(z)
         lines.append(f"{z.real!r},{z.imag!r}")
     return "\n".join(lines) + "\n"
 

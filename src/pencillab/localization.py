@@ -16,7 +16,6 @@ three exact hypothesis routes upgrades it to a localization of the
 numerical range or of the eigenvalues in the closed left half plane.
 """
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass, field
@@ -31,6 +30,7 @@ from .core import (
     Pencil,
     PoshPencil,
     probe_regular,
+    quadratic_forms,
     smallest_hermitian_eigenvalue,
     spectral_norm,
 )
@@ -208,10 +208,10 @@ def _random_phase(pp: PoshPencil, budget: int, seed: int):
         take = min(chunk, rand_budget - used)
         X = rng.standard_normal((take, n)) + 1j * rng.standard_normal((take, n))
         X /= np.linalg.norm(X, axis=1)[:, None]
-        q1 = np.real(np.einsum("ni,ij,nj->n", X.conj(), pp.r1, X))
-        q2 = np.real(np.einsum("ni,ij,nj->n", X.conj(), pp.r2, X))
-        w1 = np.einsum("ni,ij,nj->n", X.conj(), pp.j1, X)
-        w2 = np.einsum("ni,ij,nj->n", X.conj(), pp.j2, X)
+        q1 = np.real(quadratic_forms(X, pp.r1))
+        q2 = np.real(quadratic_forms(X, pp.r2))
+        w1 = quadratic_forms(X, pp.j1)
+        w2 = quadratic_forms(X, pp.j2)
         vals = -q1 * q2 + np.real(w1 * w2)
         over = np.nonzero(vals > threshold)[0]
         if over.size:
@@ -404,20 +404,15 @@ def sector_membership(points, d: int, tol: float = 1e-6, zero_radius: float = 1e
     """Points that fall inside the forbidden sector |arg z| < pi/d.
 
     Points within zero_radius of the origin never violate; the angle test
-    carries a tolerance of tol radians.
+    carries a tolerance of tol radians.  The violations come back as Python
+    complex, in input order.
     """
     d = int(d)
     if d < 1:
         raise PreconditionError("degree must be at least 1")
-    bound = math.pi / d - tol
-    violations = []
-    for z in points:
-        z = complex(z)
-        if abs(z) <= zero_radius:
-            continue
-        if abs(cmath.phase(z)) < bound:
-            violations.append(z)
-    return violations
+    z = np.asarray(points, dtype=np.complex128)
+    inside = (np.abs(z) > zero_radius) & (np.abs(np.angle(z)) < math.pi / d - tol)
+    return z[inside].tolist()
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from .core import (
     as_complex_matrix,
     default_psd_tolerance,
     is_positive_definite,
+    quadratic_forms,
     smallest_hermitian_eigenvalue,
     spectral_norm,
 )
@@ -330,22 +331,42 @@ def sample_rayleigh_roots(
 
     Every returned value is a numerical-range point of the polynomial.
     Directions whose scalar polynomial degenerates to zero are skipped.
+    Roots come by sample, each sample's in np.roots order.
     """
     n = p.n
     rng = np.random.default_rng(seed)
-    d = p.degree
     scale = max(spectral_norm(a) for a in p.coefficients)
-    roots: list = []
     if scale == 0.0 or n_samples <= 0:
-        return roots
-    for _ in range(int(n_samples)):
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        x /= np.linalg.norm(x)
-        coeffs = np.array(
-            [float(np.real(x.conj() @ a @ x)) for a in p.coefficients]
-        )
-        if np.all(np.abs(coeffs) <= 1e-14 * scale):
-            continue
-        # numpy wants descending powers
-        roots.extend(complex(z) for z in np.roots(coeffs[::-1]))
-    return roots
+        return []
+    # per sample: n real parts, then n imaginary parts
+    g = rng.standard_normal((int(n_samples), 2, n))
+    X = g[:, 0] + 1j * g[:, 1]
+    X /= np.linalg.norm(X, axis=1)[:, None]
+    coeffs = np.stack([quadratic_forms(X, a).real for a in p.coefficients], axis=1)
+    coeffs = coeffs[~np.all(np.abs(coeffs) <= 1e-14 * scale, axis=1)]
+    return _batched_roots(coeffs[:, ::-1]).tolist()
+
+
+def _batched_roots(polys: np.ndarray) -> np.ndarray:
+    """np.roots of every row of polys (descending powers), concatenated.
+
+    Rows are grouped by their counts of zero leading and trailing
+    coefficients; each group takes one eigvals call on np.roots' companion
+    matrices, and a row's trailing zeros give zero roots after the others.
+    """
+    count, width = polys.shape
+    nonzero = polys != 0.0
+    lead = np.argmax(nonzero, axis=1)
+    trail = np.argmax(nonzero[:, ::-1], axis=1)
+    out = np.zeros((count, width - 1), dtype=np.complex128)
+    for lo, hi in np.unique(np.stack([lead, trail], axis=1), axis=0):
+        rows = np.nonzero((lead == lo) & (trail == hi))[0]
+        core = polys[rows, lo : width - hi]
+        m = core.shape[1] - 1
+        if m > 0:
+            companion = np.zeros((rows.size, m, m))
+            companion[:, np.arange(1, m), np.arange(m - 1)] = 1.0
+            companion[:, 0, :] = -core[:, 1:] / core[:, :1]
+            out[rows, :m] = np.linalg.eigvals(companion)
+    # row k holds width - 1 - lead[k] roots: the eigenvalues, then the zeros
+    return out[np.arange(out.shape[1]) < (width - 1 - lead)[:, None]]

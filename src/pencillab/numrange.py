@@ -25,6 +25,7 @@ from .core import (
     default_psd_tolerance,
     is_positive_definite,
     probe_regular,
+    quadratic_forms,
     smallest_hermitian_eigenvalue,
     spectral_norm,
 )
@@ -45,7 +46,7 @@ FLOAT_MAX = float(np.finfo(np.float64).max)
 
 @dataclass(frozen=True)
 class NumRangeSample:
-    """Retained numerical-range points plus the discard count."""
+    """Retained numerical-range points, as Python complex, plus the discard count."""
 
     points: tuple
     discarded: int
@@ -53,7 +54,7 @@ class NumRangeSample:
     sample_count: int
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(complex(z) for z in self.points))
+        object.__setattr__(self, "points", tuple(self.points))
         if len(self.points) + self.discarded != self.sample_count:
             raise PreconditionError(
                 "retained plus discarded must equal the requested sample count"
@@ -137,14 +138,14 @@ def sample_numerical_range(p: Pencil, n_samples: int, seed: int = 0) -> NumRange
     norms = np.linalg.norm(X, axis=1)
     norms[norms == 0.0] = 1.0
     X /= norms[:, None]
-    ql = np.einsum("ni,ij,nj->n", X.conj(), p.lead, X)
-    qc = np.einsum("ni,ij,nj->n", X.conj(), p.constant, X)
+    ql = quadratic_forms(X, p.lead)
+    qc = quadratic_forms(X, p.constant)
     lead_norm = spectral_norm(p.lead)
     emit_scale = EMISSION_RESIDUAL * (lead_norm + spectral_norm(p.constant))
     keep = np.abs(ql) > DENOMINATOR_CUTOFF * lead_norm
     mu = np.where(keep, -qc / np.where(keep, ql, 1.0), 0.0)
     keep &= np.abs(qc + mu * ql) <= emit_scale
-    points = tuple(complex(z) for z in mu[keep])
+    points = tuple(mu[keep].tolist())
     return NumRangeSample(points, n_samples - len(points), seed, n_samples)
 
 
@@ -166,14 +167,26 @@ def definiteness_threshold(h0, h1) -> float | None:
         raise DimensionError("h0 and h1 must have equal size")
     if not is_positive_definite(h0):
         return None
-    sv = np.linalg.svd(h1, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
+    return _bisect_threshold(
+        h0,
+        h1,
+        float(np.linalg.svd(h0, compute_uv=False)[0]),
+        np.linalg.svd(h1, compute_uv=False),
+    )
+
+
+def _bisect_threshold(h0, h1, h0_norm: float, h1_sv: np.ndarray) -> float:
+    """definiteness_threshold for Hermitian h0 known to be positive definite.
+
+    h0_norm is the spectral norm of h0 and h1_sv the singular values of h1,
+    which -h1 shares, so one pair serves both signs of h1.
+    """
+    if h1_sv.size == 0 or h1_sv[0] == 0.0:
         return math.inf
     # smallest nonzero singular value caps any definiteness-breaking beta
-    small = sv[sv > sv[0] * h1.shape[0] * EPS]
-    sigma_min = float(small[-1]) if small.size else float(sv[0])
-    cap = 1.0 + 2.0 * float(np.linalg.svd(h0, compute_uv=False)[0]) / sigma_min
-    cap = min(cap, FLOAT_MAX)
+    small = h1_sv[h1_sv > h1_sv[0] * h1.shape[0] * EPS]
+    sigma_min = float(small[-1]) if small.size else float(h1_sv[0])
+    cap = min(1.0 + 2.0 * h0_norm / sigma_min, FLOAT_MAX)
     if is_positive_definite(h0 + cap * h1):
         return math.inf
     lo, hi = 0.0, cap
@@ -189,14 +202,18 @@ def definiteness_threshold(h0, h1) -> float | None:
 
 
 def _thresholds(h0, k, j1_norm, strip_bound=None) -> BetaThresholds:
-    if not is_positive_definite(_hermitized(h0)):
+    h0 = _hermitized(h0)
+    if not is_positive_definite(h0):
         return BetaThresholds(None, None, None, strip_bound)
     if j1_norm == 0.0:
         return BetaThresholds(math.inf, math.inf, None, strip_bound)
-    beta_plus = definiteness_threshold(h0, k)
-    beta_minus = definiteness_threshold(h0, -k)
-    sv = np.linalg.svd(_hermitized(h0), compute_uv=False)
-    lower = float(sv[-1]) / j1_norm
+    k = _hermitized(k)
+    h0_sv = np.linalg.svd(h0, compute_uv=False)
+    k_sv = np.linalg.svd(k, compute_uv=False)
+    h0_norm = float(h0_sv[0])
+    beta_plus = _bisect_threshold(h0, k, h0_norm, k_sv)
+    beta_minus = _bisect_threshold(h0, -k, h0_norm, k_sv)
+    lower = float(h0_sv[-1]) / j1_norm
     return BetaThresholds(beta_plus, beta_minus, lower, strip_bound)
 
 

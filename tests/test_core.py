@@ -12,6 +12,7 @@ from pencillab.core import (
     is_positive_definite,
     posh_from_parts,
     probe_regular,
+    quadratic_forms,
     reversal,
     spectral_norm,
     validate_posh,
@@ -169,3 +170,16 @@ def test_spectral_norm_matches_numpy():
     for _ in range(10):
         m = rng.standard_normal((3, 5))
         assert abs(spectral_norm(m) - np.linalg.norm(m, 2)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_quadratic_forms_match_three_operand_einsum(n):
+    rng = np.random.default_rng(40 + n)
+    X = rng.standard_normal((7, n)) + 1j * rng.standard_normal((7, n))
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    for mat in (a, np.zeros((n, n), dtype=complex)):
+        got = quadratic_forms(X, mat)
+        want = np.einsum("ni,ij,nj->n", X.conj(), mat, X)
+        assert got.shape == (7,)
+        scale = spectral_norm(mat) * np.sum(np.abs(X) ** 2, axis=1)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)

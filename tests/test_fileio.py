@@ -44,6 +44,69 @@ def test_parse_matrix_rejects_ragged():
         parse_matrix([[[1]]], "m")  # needs [re, im] pairs
 
 
+def _walk_entries(obj, where):
+    """The entry-by-entry parse that parse_matrix falls back to."""
+    if not isinstance(obj, list) or not obj:
+        raise InputFormatError(f"{where}: expected a nonempty list of rows")
+    width = None
+    rows = []
+    for i, row in enumerate(obj):
+        if not isinstance(row, list):
+            raise InputFormatError(f"{where}[{i}]: expected a list")
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise InputFormatError(
+                f"{where}[{i}]: row has {len(row)} entries, expected {width}"
+            )
+        parsed = []
+        for j, v in enumerate(row):
+            if (
+                not isinstance(v, (list, tuple))
+                or len(v) != 2
+                or not all(isinstance(x, (int, float)) for x in v)
+            ):
+                raise InputFormatError(f"{where}[{i}][{j}]: expected a [re, im] pair, got {v!r}")
+            parsed.append(complex(float(v[0]), float(v[1])))
+        rows.append(parsed)
+    return np.array(rows, dtype=np.complex128)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [[[1, 0], [2, 0]], [[1, 0]]],  # ragged row
+        [[["1.0", 0.0]]],
+        None,
+        [[[1.0, 2.0], None]],
+        [[[1.0, 2.0, 3.0]]],
+        [[[[1.0, 2.0]]]],  # 4-deep nesting
+        [],
+        [[[1.0, 0.0]], 5],
+    ],
+)
+def test_parse_matrix_rejects_like_the_entry_walk(obj):
+    with pytest.raises(InputFormatError) as want:
+        _walk_entries(obj, "f:m")
+    with pytest.raises(InputFormatError) as got:
+        parse_matrix(obj, "f:m")
+    assert str(got.value) == str(want.value)
+
+
+def test_parse_matrix_converts_numbers_like_the_entry_walk():
+    big = 2**63 + 2**10 + 1  # rounds on conversion to float
+    for obj in (
+        [[[True, False], [False, True]]],
+        [[[1, -2], [big, 0]], [[2**53 + 1, -(2**62) - 1], [0, 7]]],
+        [[[0.1, -0.0], [1e308, -5e-324]]],
+        [[[True, 2.5], [3, -0.0]]],
+        [[[2**64 - 1, 0]]],
+    ):
+        got, want = parse_matrix(obj, "m"), _walk_entries(obj, "m")
+        assert got.dtype == np.complex128 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_load_pencil_file_plain(tmp_path):
     doc = {
         "n": 2,

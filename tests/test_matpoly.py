@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pencillab.core import finite_eigenvalues, is_positive_definite
+from pencillab.core import finite_eigenvalues, is_positive_definite, spectral_norm
 from pencillab.errors import (
     DimensionError,
     InputFormatError,
@@ -200,3 +200,56 @@ def test_rayleigh_roots_respect_sector():
         p = random_psd_polynomial(rng, n, d, pd_constant=True)
         roots = sample_rayleigh_roots(p, 200, seed=k)
         assert sector_membership(roots, d, tol=1e-6) == []
+
+
+def _rayleigh_roots_per_vector(p, n_samples, seed):
+    """The one-vector-at-a-time sampler that sample_rayleigh_roots batches."""
+    n = p.n
+    rng = np.random.default_rng(seed)
+    scale = max(spectral_norm(a) for a in p.coefficients)
+    roots = []
+    if scale == 0.0 or n_samples <= 0:
+        return roots
+    for _ in range(int(n_samples)):
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        x /= np.linalg.norm(x)
+        coeffs = np.array([float(np.real(x.conj() @ a @ x)) for a in p.coefficients])
+        if np.all(np.abs(coeffs) <= 1e-14 * scale):
+            continue
+        roots.extend(complex(z) for z in np.roots(coeffs[::-1]))
+    return roots
+
+
+def _zeroed(p, *ks):
+    mats = list(p.coefficients)
+    for k in ks:
+        mats[k] = np.zeros_like(mats[k])
+    return MatrixPolynomial(tuple(mats))
+
+
+def test_rayleigh_roots_match_the_per_vector_loop():
+    rng = np.random.default_rng(20)
+    full = random_psd_polynomial(rng, 3, 4, pd_constant=True)
+    scalar = random_psd_polynomial(rng, 1, 5, pd_constant=True)
+    assert all(spectral_norm(a) > 0.0 for a in full.coefficients)
+    # n = 1 with rank-0 middle coefficients A_2, A_3, A_4
+    assert [spectral_norm(a) > 0.0 for a in scalar.coefficients] == [
+        True, True, False, False, False, True
+    ]
+    cases = [
+        full,
+        _zeroed(full, 0),  # A_0 = 0: a zero root per sample
+        _zeroed(full, 4),  # A_d = 0: one root fewer per sample
+        _zeroed(full, 0, 1, 4),
+        scalar,
+        _zeroed(scalar, 0, 1),  # only A_d left: d zero roots per sample
+        _zeroed(scalar, 1, 5),  # only A_0 left: every sample skipped
+    ]
+    for k, p in enumerate(cases):
+        got = sample_rayleigh_roots(p, 300, seed=k)
+        want = _rayleigh_roots_per_vector(p, 300, k)
+        assert len(got) == len(want), f"case {k}"
+        assert all(type(z) is complex for z in got)
+        gap = np.abs(np.array(got) - np.array(want))
+        assert np.all(gap <= 1e-12 * np.abs(want)), f"case {k}"
+    assert sample_rayleigh_roots(cases[0], 0) == []

@@ -112,6 +112,16 @@ def test_beta_thresholds_rotation_example():
     assert bt.lower_bound >= 2.0 - 1e-9
 
 
+def test_beta_thresholds_match_the_per_call_thresholds_bit_for_bit():
+    pp = random_posh_pencil(np.random.default_rng(32), 32, pd_sum=True)
+    h0, k = pp.r1 + pp.r2, 1j * pp.j1
+    bt = beta_thresholds(pp)
+    assert bt.beta_plus == definiteness_threshold(h0, k)
+    assert bt.beta_minus == definiteness_threshold(h0, -k)
+    assert bt.lower_bound == np.linalg.svd(h0, compute_uv=False)[-1] / np.linalg.norm(pp.j1, 2)
+    assert 0.0 < bt.beta_plus < math.inf and 0.0 < bt.beta_minus < math.inf
+
+
 def test_beta_thresholds_zero_j1_gives_infinite():
     pp = PoshPencil(np.zeros((2, 2)), np.eye(2), np.zeros((2, 2)), np.eye(2))
     bt = beta_thresholds(pp)
