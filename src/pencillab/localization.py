@@ -470,11 +470,7 @@ def regularity_conditions_report(pp: PoshPencil) -> RegularityConditionsReport:
     (verified None means the hypothesis does not apply or the check was
     not computable).
     """
-    p = pp.pencil()
-    try:
-        p_regular = kronecker_structure(p).regular
-    except RankAmbiguityError:
-        p_regular = probe_regular(p)
+    p_regular = _pencil_regular(pp.j1 + pp.r1, pp.j2 + pp.r2)
     rr = _pencil_regular(pp.r1, pp.r2)
     jj = _pencil_regular(pp.j1, pp.j2)
     r1j2 = _pencil_regular(pp.r1, pp.j2)

@@ -4,10 +4,10 @@ The numerical range of lambda*L + C collects every mu with x*(mu L + C)x = 0
 for some nonzero x.  For pencils whose coefficients have PSD Hermitian
 parts the range stays out of a pacman shaped neighbourhood of the positive
 real axis; the opening is governed by definiteness thresholds beta_plus
-and beta_minus.  This module samples the range, computes the thresholds by
-Cholesky bisection, tests pacman membership, and evaluates the chain of
-regularity conditions linking kernel intersections, range geometry and
-isotropic vectors on W = ker R1 n ker R2.
+and beta_minus.  This module samples the range, computes the thresholds in
+closed form from one generalized Hermitian eigensolve, tests pacman
+membership, and evaluates the chain of regularity conditions linking kernel
+intersections, range geometry and isotropic vectors on W = ker R1 n ker R2.
 """
 
 import cmath
@@ -39,9 +39,6 @@ from .kcf import KroneckerStructure, kronecker_structure
 
 DENOMINATOR_CUTOFF = 1e-12
 EMISSION_RESIDUAL = 1e-10
-# bracket width at which the definiteness bisection stops
-BISECT_TOL = 1e-9
-FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 @dataclass(frozen=True)
@@ -150,16 +147,22 @@ def sample_numerical_range(p: Pencil, n_samples: int, seed: int = 0) -> NumRange
 
 
 def _hermitized(m) -> np.ndarray:
-    return (m + m.conj().T) / 2.0
+    """(m + m*)/2; PreconditionError where it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = (m + m.conj().T) / 2.0
+    if not np.all(np.isfinite(h)):
+        raise PreconditionError("a Hermitian part is not finite")
+    return h
 
 
 def definiteness_threshold(h0, h1) -> float | None:
-    """sup{beta >= 0 : h0 + beta*h1 positive definite}, by bisection.
+    """sup{beta >= 0 : h0 + beta*h1 positive definite}, in closed form.
 
     Returns None when h0 itself is not definite, inf when the set is
-    unbounded or holds every finite float.  The returned finite value is on
-    the definite side of the supremum, with bracket width at most BISECT_TOL,
-    or one float spacing where the supremum is too large for that.
+    unbounded or holds every finite float.  A finite value lies within a few
+    ulps of the supremum, at a beta where Cholesky of h0 + beta*h1 succeeds;
+    the rounding of that Cholesky can put it a few ulps above the exact
+    supremum.
     """
     h0 = _hermitized(as_complex_matrix(h0, "h0", square=True))
     h1 = _hermitized(as_complex_matrix(h1, "h1", square=True))
@@ -167,38 +170,33 @@ def definiteness_threshold(h0, h1) -> float | None:
         raise DimensionError("h0 and h1 must have equal size")
     if not is_positive_definite(h0):
         return None
-    return _bisect_threshold(
-        h0,
-        h1,
-        float(np.linalg.svd(h0, compute_uv=False)[0]),
-        np.linalg.svd(h1, compute_uv=False),
-    )
+    return _definiteness_thresholds(h0, h1)[0]
 
 
-def _bisect_threshold(h0, h1, h0_norm: float, h1_sv: np.ndarray) -> float:
-    """definiteness_threshold for Hermitian h0 known to be positive definite.
+def _definiteness_thresholds(h0, h1) -> tuple:
+    """Thresholds for h0 + beta*h1 and h0 - beta*h1, h0 Hermitian definite.
 
-    h0_norm is the spectral norm of h0 and h1_sv the singular values of h1,
-    which -h1 shares, so one pair serves both signs of h1.
+    h0 + beta*h1 stays definite exactly while 1 + beta*w > 0 for every
+    eigenvalue w of the pair (h1, h0), so the thresholds are -1/w_min and
+    1/w_max (Higham, Tisseur and Van Dooren, LAA 351-352, 2002).  An
+    eigenvalue within roundoff of zero never breaks definiteness.  A finite
+    threshold is stepped down by a doubling relative step until Cholesky
+    accepts it.
     """
-    if h1_sv.size == 0 or h1_sv[0] == 0.0:
-        return math.inf
-    # smallest nonzero singular value caps any definiteness-breaking beta
-    small = h1_sv[h1_sv > h1_sv[0] * h1.shape[0] * EPS]
-    sigma_min = float(small[-1]) if small.size else float(h1_sv[0])
-    cap = min(1.0 + 2.0 * h0_norm / sigma_min, FLOAT_MAX)
-    if is_positive_definite(h0 + cap * h1):
-        return math.inf
-    lo, hi = 0.0, cap
-    while hi - lo > BISECT_TOL:
-        mid = (lo + hi) / 2.0
-        if not lo < mid < hi:
-            break  # adjacent floats: the bracket cannot shrink further
-        if is_positive_definite(h0 + mid * h1):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    if h0.shape[0] == 0:
+        return math.inf, math.inf
+    w = scipy.linalg.eigh(h1, h0, eigvals_only=True)
+    w_min, w_max = float(w[0]), float(w[-1])
+    zero = 16.0 * h0.shape[0] * EPS * max(-w_min, w_max)
+    thresholds = []
+    for sign, w_edge in ((1.0, -w_min), (-1.0, w_max)):
+        beta = 1.0 / w_edge if w_edge > zero else math.inf
+        step = EPS
+        while beta < math.inf and not is_positive_definite(h0 + (sign * beta) * h1):
+            beta = max(beta - step * beta, 0.0)
+            step *= 2.0
+        thresholds.append(beta)
+    return tuple(thresholds)
 
 
 def _thresholds(h0, k, j1_norm, strip_bound=None) -> BetaThresholds:
@@ -207,13 +205,8 @@ def _thresholds(h0, k, j1_norm, strip_bound=None) -> BetaThresholds:
         return BetaThresholds(None, None, None, strip_bound)
     if j1_norm == 0.0:
         return BetaThresholds(math.inf, math.inf, None, strip_bound)
-    k = _hermitized(k)
-    h0_sv = np.linalg.svd(h0, compute_uv=False)
-    k_sv = np.linalg.svd(k, compute_uv=False)
-    h0_norm = float(h0_sv[0])
-    beta_plus = _bisect_threshold(h0, k, h0_norm, k_sv)
-    beta_minus = _bisect_threshold(h0, -k, h0_norm, k_sv)
-    lower = float(h0_sv[-1]) / j1_norm
+    beta_plus, beta_minus = _definiteness_thresholds(h0, _hermitized(k))
+    lower = float(np.linalg.svd(h0, compute_uv=False)[-1]) / j1_norm
     return BetaThresholds(beta_plus, beta_minus, lower, strip_bound)
 
 

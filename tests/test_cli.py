@@ -137,6 +137,16 @@ def test_bad_env_seed_is_parse_error(dissipative_posh, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_beta_refuses_an_overflowing_hermitian_part(tmp_path, capsys):
+    # i*J1 is finite, but its Hermitian part (k + k*)/2 overflows
+    j1 = -1e308j * np.array([[0.5, 0.3], [0.3, -0.9]])
+    doc = {"j1": mat(j1), "r1": mat(np.eye(2)), "j2": mat(np.zeros((2, 2))), "r2": mat(np.eye(2))}
+    path = tmp_path / "huge.posh.json"
+    path.write_text(json.dumps(doc))
+    assert main(["beta", str(path)]) == 3
+    assert "not finite" in capsys.readouterr().err
+
+
 def test_validate_and_exit_codes(stable_posh, tmp_path, capsys):
     assert main(["validate", stable_posh]) == 0
     capsys.readouterr()

@@ -153,6 +153,14 @@ def test_cubic_stability_inconclusive_on_failed_hypotheses():
     assert rep.beta_star is None
 
 
+def test_cubic_stability_on_the_empty_cubic():
+    # every hypothesis holds vacuously, and no finite beta breaks definiteness
+    z = np.zeros((0, 0))
+    rep = cubic_stability(MatrixPolynomial((z, z, z, z)))
+    assert rep.hypotheses_hold and rep.beta_star == math.inf
+    assert rep.conclusion == "lhp_certified"
+
+
 def test_mgt_stability_verdicts():
     t = np.eye(3)
     assert mgt_stability(2.0, 2.0, 1.0, t) == "lhp_certified"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pencillab.core import Pencil, PoshPencil
-from pencillab.errors import InputFormatError
+from pencillab.errors import InputFormatError, PreconditionError
 from pencillab.localization import lhp_certificate
 from pencillab.numrange import (
     PacmanRegion,
@@ -21,7 +21,13 @@ from pencillab.oracles import (
     random_posh_pencil,
     random_psd_matrix,
     random_shared_kernel_posh_pencil,
+    random_unitary,
 )
+
+
+def ulps(a: float, b: float) -> int:
+    """Distance in units in the last place between two nonnegative floats."""
+    return abs(int(np.float64(a).view(np.int64)) - int(np.float64(b).view(np.int64)))
 
 
 def test_rayleigh_point_diagonal():
@@ -75,13 +81,56 @@ def test_definiteness_threshold_scalar():
 
 
 def test_definiteness_threshold_above_bisection_resolution():
-    # past about 8e6 the float spacing exceeds the bisection tolerance, so
-    # the bracket ends at adjacent floats
+    # a threshold of 1e7 is resolved to float spacing, not to an absolute bracket
     t = definiteness_threshold(np.array([[1.0]]), np.array([[-1e-7]]))
     assert math.isclose(t, 1e7, rel_tol=1e-12) and 1.0 - t * 1e-7 > 0.0
     # a supremum beyond the largest float: every finite beta keeps h0 definite
     t = definiteness_threshold(np.array([[6.0]]), np.array([[-1e-308]]))
     assert t == math.inf
+    assert definiteness_threshold(1e300 * np.eye(2), np.diag([1.0, -1e-10])) == math.inf
+
+
+def test_definiteness_threshold_on_the_empty_pair():
+    assert definiteness_threshold(np.zeros((0, 0)), np.zeros((0, 0))) == math.inf
+
+
+def test_definiteness_threshold_rejects_an_overflowing_hermitian_part():
+    h1 = 1e308 * np.array([[0.5, 0.3], [0.3, -0.9]])
+    with pytest.raises(PreconditionError):
+        definiteness_threshold(np.eye(2), h1)
+
+
+def test_definiteness_threshold_matches_diagonal_pairs():
+    # h0 + beta*h1 stays definite while beta < h0_i/|h1_i| for each h1_i < 0.
+    # The eigensolve is off by up to a few ulps either way, and the doubling
+    # back-off onto the Cholesky-definite side can overshoot by as much again.
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 5, 9):
+        for trial in range(20):
+            d0 = 10.0 ** rng.uniform(-3.0, 3.0, n)
+            d1 = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+            d1[0] = -abs(d1[0])
+            want = min(a / -b for a, b in zip(d0, d1) if b < 0.0)
+            got = definiteness_threshold(np.diag(d0), np.diag(d1))
+            assert got <= want and ulps(got, want) <= 8, (n, trial)
+            # a unitary congruence rounds the data by eps relative to the
+            # largest entry, which moves the answer by up to eps*cond, so
+            # the spread of the diagonals is cut to a cube root first
+            d0, d1 = d0 ** (1.0 / 3.0), d1 / np.abs(d1) ** (2.0 / 3.0)
+            want = min(a / -b for a, b in zip(d0, d1) if b < 0.0)
+            u = random_unitary(rng, n)
+            got = definiteness_threshold(u @ np.diag(d0) @ u.conj().T, u @ np.diag(d1) @ u.conj().T)
+            assert math.isclose(got, want, rel_tol=1e-12), (n, trial)
+
+
+def test_beta_thresholds_fields_are_python_floats():
+    pp = random_posh_pencil(np.random.default_rng(5), 6, pd_sum=True)
+    for bt in (beta_thresholds(pp), beta_thresholds_scaled(pp, 0.5)):
+        for value in (bt.beta_plus, bt.beta_minus, bt.lower_bound, bt.strip_bound):
+            assert value is None or type(value) is float
+    empty = np.zeros((0, 0))
+    bt = beta_thresholds(PoshPencil(empty, empty, empty, empty))
+    assert all(type(v) is float or v is None for v in (bt.beta_plus, bt.beta_minus, bt.lower_bound))
 
 
 def test_definiteness_threshold_is_conservative():

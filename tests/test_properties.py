@@ -1,5 +1,5 @@
-"""Property tests: invariances of the Kronecker structure and of the
-regularity chain, and edge sizes.
+"""Property tests: invariances of the Kronecker structure, of the regularity
+chain and of the definiteness thresholds, and edge sizes.
 
 Block soups are drawn the way acceptance criterion 5 draws them: up to four
 canonical blocks on three eigenvalues from the grid {-2..2} + i{-2..2},
@@ -14,7 +14,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pencillab.core import Pencil, PoshPencil
+from pencillab.core import EPS, Pencil, PoshPencil, is_positive_definite
 from pencillab.dh import check_dh_equivalence, realize_dh
 from pencillab.errors import RankAmbiguityError
 from pencillab.kcf import KroneckerStructure, kronecker_structure, structures_match
@@ -27,6 +27,7 @@ from pencillab.oracles import (
     RIGHT_SINGULAR,
     BlockSpec,
     assemble_pencil,
+    random_posh_pencil,
     random_shared_kernel_posh_pencil,
     random_unitary,
 )
@@ -169,3 +170,66 @@ def test_chain_invariant_under_unitary_congruence_and_skew_sign(pp, seed):
     want = _chain_values(pp)
     assert _chain_values(PoshPencil(skew[0], herm[0], skew[1], herm[1])) == want
     assert _chain_values(PoshPencil(-pp.j1, pp.r1, -pp.j2, pp.r2)) == want
+
+
+@st.composite
+def posh_pencils(draw, pd_sum=st.booleans()):
+    """Generic posH pencils of size 1 to 8, with R1 + R2 definite under pd_sum."""
+    n = draw(st.integers(1, 8))
+    return random_posh_pencil(draw(st.integers(0, 2**31)), n, pd_sum=draw(pd_sum))
+
+
+def _thresholds(pp):
+    bt = beta_thresholds(pp)
+    return bt.beta_plus, bt.beta_minus
+
+
+@settings(max_examples=40)
+@given(pp=posh_pencils(pd_sum=st.just(True)), c=st.sampled_from((1e-12, 1e-6, 1e6)))
+def test_thresholds_scale_with_the_hermitian_parts(pp, c):
+    # (c*h0) + beta*h1 is definite exactly when h0 + (beta/c)*h1 is
+    scaled = _thresholds(PoshPencil(pp.j1, c * pp.r1, pp.j2, c * pp.r2))
+    for got, beta in zip(scaled, _thresholds(pp)):
+        assert math.isclose(got, c * beta, rel_tol=1e-12)
+
+
+@settings(max_examples=40)
+@given(pp=posh_pencils())
+def test_thresholds_are_definite_and_reach_the_lower_bound(pp):
+    # sigma_min(R1 + R2)/||J1|| is a lower bound for both thresholds
+    bt = beta_thresholds(pp)
+    if bt.lower_bound is None:
+        return
+    floor = bt.lower_bound * (1.0 - 16.0 * pp.n * EPS)
+    assert bt.beta_plus >= floor and bt.beta_minus >= floor
+    h0, k = pp.r1 + pp.r2, 1j * pp.j1
+    for beta, direction in ((bt.beta_plus, k), (bt.beta_minus, -k)):
+        assert beta == math.inf or is_positive_definite(h0 + beta * direction)
+
+
+def _ulps(a, b):
+    return abs(int(np.float64(a).view(np.int64)) - int(np.float64(b).view(np.int64)))
+
+
+@st.composite
+def scalar_posh_pencils(draw):
+    """1 x 1 posH pencils with nonzero J1 and positive R1 + R2."""
+    magnitude = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+    sign = st.sampled_from((1.0, -1.0))
+    return PoshPencil(
+        [[1j * draw(sign) * draw(magnitude)]],
+        [[draw(magnitude)]],
+        [[1j * draw(st.floats(-3.0, 3.0))]],
+        [[draw(st.floats(0.0, 3.0))]],
+    )
+
+
+@settings(max_examples=60)
+@given(pp=scalar_posh_pencils())
+def test_scalar_threshold_meets_the_lower_bound(pp):
+    # for n = 1 the finite threshold is (R1 + R2)/|J1|, which is the lower
+    # bound; eigensolve and Cholesky back-off cost a few ulps, never more
+    bt = beta_thresholds(pp)
+    finite = [b for b in (bt.beta_plus, bt.beta_minus) if b != math.inf]
+    assert len(finite) == 1
+    assert _ulps(finite[0], bt.lower_bound) <= 8
