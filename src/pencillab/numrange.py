@@ -158,11 +158,11 @@ def _hermitized(m) -> np.ndarray:
 def definiteness_threshold(h0, h1) -> float | None:
     """sup{beta >= 0 : h0 + beta*h1 positive definite}, in closed form.
 
-    Returns None when h0 itself is not definite, inf when the set is
-    unbounded or holds every finite float.  A finite value lies within a few
-    ulps of the supremum, at a beta where Cholesky of h0 + beta*h1 succeeds;
-    the rounding of that Cholesky can put it a few ulps above the exact
-    supremum.
+    Returns None when h0 itself is not definite, inf when h1 is
+    semidefinite or the supremum is past the largest float.  A finite value
+    is one where Cholesky of h0 + beta*h1 succeeds, about 2*n*eps relative
+    below the supremum: below it whenever the threshold is well enough
+    conditioned for the eigensolve and the Cholesky to resolve it.
     """
     h0 = _hermitized(as_complex_matrix(h0, "h0", square=True))
     h1 = _hermitized(as_complex_matrix(h1, "h1", square=True))
@@ -176,27 +176,50 @@ def definiteness_threshold(h0, h1) -> float | None:
 def _definiteness_thresholds(h0, h1) -> tuple:
     """Thresholds for h0 + beta*h1 and h0 - beta*h1, h0 Hermitian definite.
 
-    h0 + beta*h1 stays definite exactly while 1 + beta*w > 0 for every
-    eigenvalue w of the pair (h1, h0), so the thresholds are -1/w_min and
-    1/w_max (Higham, Tisseur and Van Dooren, LAA 351-352, 2002).  An
-    eigenvalue within roundoff of zero never breaks definiteness.  A finite
-    threshold is stepped down by a doubling relative step until Cholesky
-    accepts it.
+    A sign's threshold is inf exactly when its g = +/-h1 is semidefinite,
+    decided with a 64*eps*||h1|| slack; one eigensolve of the pair (h1, h0)
+    serves both signs.
     """
     if h0.shape[0] == 0:
         return math.inf, math.inf
     w = scipy.linalg.eigh(h1, h0, eigvals_only=True)
+    lam = np.linalg.eigvalsh(h1)
+    slack = 64.0 * EPS * max(-lam[0], lam[-1])
+    return (
+        _threshold(h0, h1, w) if lam[0] < -slack else math.inf,
+        _threshold(h0, -h1, -w[::-1]) if lam[-1] > slack else math.inf,
+    )
+
+
+def _threshold(h0, g, w) -> float:
+    """sup{beta >= 0 : h0 + beta*g definite} for g not semidefinite.
+
+    w holds the eigenvalues of the pair (g, h0), ascending; h0 + beta*g is
+    definite exactly while 1 + beta*w_i > 0, so the threshold is -1/w[0]
+    (Higham, Tisseur and Van Dooren, LAA 351-352, 2002).  The eigensolve
+    rounds w[0] relative to max|w|, so while w[-1] outweighs it the pair is
+    solved again from the definite h0 + t*g, t moved halfway to the
+    estimate t - 1/w[0] or, where w[0] is within rounding, by half the
+    reciprocal of the rounding.  The estimate, lowered by 2*n*eps relative,
+    is stepped down by a doubling relative step until Cholesky accepts it.
+    """
+    n = h0.shape[0]
+    t = 0.0
     w_min, w_max = float(w[0]), float(w[-1])
-    zero = 16.0 * h0.shape[0] * EPS * max(-w_min, w_max)
-    thresholds = []
-    for sign, w_edge in ((1.0, -w_min), (-1.0, w_max)):
-        beta = 1.0 / w_edge if w_edge > zero else math.inf
-        step = EPS
-        while beta < math.inf and not is_positive_definite(h0 + (sign * beta) * h1):
-            beta = max(beta - step * beta, 0.0)
-            step *= 2.0
-        thresholds.append(beta)
-    return tuple(thresholds)
+    while -w_min < w_max:
+        edge = max(-w_min, 16.0 * n * EPS * w_max)
+        t_next = t + 0.5 / edge if edge > 0.0 else math.inf
+        if t_next == math.inf or not is_positive_definite(h0 + t_next * g):
+            break
+        t = t_next
+        w = scipy.linalg.eigh(g, h0 + t * g, eigvals_only=True)
+        w_min, w_max = float(w[0]), float(w[-1])
+    beta = (t - 1.0 / w_min) * (1.0 - 2.0 * n * EPS) if w_min < 0.0 else t
+    step = EPS
+    while t < beta < math.inf and not is_positive_definite(h0 + beta * g):
+        beta = max(beta - step * beta, t)
+        step *= 2.0
+    return beta
 
 
 def _thresholds(h0, k, j1_norm, strip_bound=None) -> BetaThresholds:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pencillab.core import Pencil, PoshPencil
+from pencillab.core import EPS, Pencil, PoshPencil, is_positive_definite
 from pencillab.errors import InputFormatError, PreconditionError
 from pencillab.localization import lhp_certificate
 from pencillab.numrange import (
@@ -23,11 +23,6 @@ from pencillab.oracles import (
     random_shared_kernel_posh_pencil,
     random_unitary,
 )
-
-
-def ulps(a: float, b: float) -> int:
-    """Distance in units in the last place between two nonnegative floats."""
-    return abs(int(np.float64(a).view(np.int64)) - int(np.float64(b).view(np.int64)))
 
 
 def test_rayleigh_point_diagonal():
@@ -102,8 +97,8 @@ def test_definiteness_threshold_rejects_an_overflowing_hermitian_part():
 
 def test_definiteness_threshold_matches_diagonal_pairs():
     # h0 + beta*h1 stays definite while beta < h0_i/|h1_i| for each h1_i < 0.
-    # The eigensolve is off by up to a few ulps either way, and the doubling
-    # back-off onto the Cholesky-definite side can overshoot by as much again.
+    # The estimate is lowered by its 2*n*eps rounding margin, and the
+    # doubling back-off onto the Cholesky-definite side costs a few ulps more.
     rng = np.random.default_rng(8)
     for n in (1, 2, 5, 9):
         for trial in range(20):
@@ -112,7 +107,7 @@ def test_definiteness_threshold_matches_diagonal_pairs():
             d1[0] = -abs(d1[0])
             want = min(a / -b for a, b in zip(d0, d1) if b < 0.0)
             got = definiteness_threshold(np.diag(d0), np.diag(d1))
-            assert got <= want and ulps(got, want) <= 8, (n, trial)
+            assert want * (1.0 - (2 * n + 8) * EPS) <= got <= want, (n, trial)
             # a unitary congruence rounds the data by eps relative to the
             # largest entry, which moves the answer by up to eps*cond, so
             # the spread of the diagonals is cut to a cube root first
@@ -121,6 +116,27 @@ def test_definiteness_threshold_matches_diagonal_pairs():
             u = random_unitary(rng, n)
             got = definiteness_threshold(u @ np.diag(d0) @ u.conj().T, u @ np.diag(d1) @ u.conj().T)
             assert math.isclose(got, want, rel_tol=1e-12), (n, trial)
+
+
+def test_definiteness_threshold_resolves_a_graded_pair():
+    # the pair (h1, h0) has eigenvalues 1e10 and -1e-6: the breaking one is
+    # below the eigensolve's rounding of the other, yet the threshold is 1e6
+    h0, h1 = np.diag([1e-10, 1.0]), np.diag([1.0, -1e-6])
+    got = definiteness_threshold(h0, h1)
+    assert 1e6 * (1.0 - 16.0 * EPS) <= got <= 1e6
+    pp = PoshPencil(np.diag([-1j, 1e-6j]), h0, np.zeros((2, 2)), np.zeros((2, 2)))
+    bt = beta_thresholds(pp)
+    assert bt.beta_plus == got and math.isclose(bt.beta_minus, 1e-10, rel_tol=1e-13)
+    # the same spread under a unitary congruence, where no eigenvalue of the
+    # first solve resolves the breaking one
+    rng = np.random.default_rng(12)
+    for n in (2, 4, 8):
+        d0, d1 = np.ones(n), np.linspace(1.0, 2.0, n)
+        d0[0], d1[-1] = 1e-12, -1e-6
+        u = random_unitary(rng, n)
+        h0, h1 = u @ np.diag(d0) @ u.conj().T, u @ np.diag(d1) @ u.conj().T
+        got = definiteness_threshold(h0, h1)
+        assert math.isclose(got, 1e6, rel_tol=1e-6) and is_positive_definite(h0 + got * h1), n
 
 
 def test_beta_thresholds_fields_are_python_floats():
