@@ -16,7 +16,15 @@ import sys
 import numpy as np
 
 from . import __version__
-from .core import AXIS_TOL, STRUCTURE_DRIFT_TOL, Pencil, PoshPencil, spectral_norm, validate_posh
+from .core import (
+    AXIS_TOL,
+    STRUCTURE_DRIFT_TOL,
+    Pencil,
+    PoshPencil,
+    smallest_hermitian_eigenvalue,
+    spectral_norm,
+    validate_posh,
+)
 from .dh import GENERAL_Q, Q_IDENTITY, check_dh_equivalence, realize_dh
 from .errors import (
     DimensionError,
@@ -236,8 +244,8 @@ def cmd_validate(args) -> int:
                 "valid": True,
                 "evidence": "exact",
                 "psd_margins": {
-                    "r1": float(np.linalg.eigvalsh((pp.r1 + pp.r1.conj().T) / 2).min()),
-                    "r2": float(np.linalg.eigvalsh((pp.r2 + pp.r2.conj().T) / 2).min()),
+                    "r1": smallest_hermitian_eigenvalue(pp.r1),
+                    "r2": smallest_hermitian_eigenvalue(pp.r2),
                 },
             }
         },
@@ -249,14 +257,7 @@ def cmd_validate(args) -> int:
 def cmd_kcf(args) -> int:
     obj = load_pencil_file(args.file)
     ks = kronecker_structure(_as_pencil(obj))
-    print(
-        f"structure: right={list(ks.right_minimal_indices)} "
-        f"left={list(ks.left_minimal_indices)} "
-        f"finite={[(str(l), list(m)) for l, m in ks.finite_eigenstructure]} "
-        f"infinite={list(ks.infinite_block_sizes)} index={ks.index} "
-        f"regular={ks.regular}"
-    )
-    _emit(args, _report(args.file, obj, {"kcf": _structure_json(ks)})) if args.out else None
+    _emit(args, _report(args.file, obj, {"kcf": _structure_json(ks)}))
     return EXIT_OK
 
 

@@ -34,6 +34,9 @@ STRUCTURE_DRIFT_TOL = 1e-10
 # A homogeneous eigenvalue (alpha, beta) is infinite when
 # |beta| <= INFINITE_EIGENVALUE_TOL*(|alpha| + |beta|).
 INFINITE_EIGENVALUE_TOL = 1e-10
+# probe_regular evaluates the pencil at this many random points, drawn from
+# a fixed seed.
+REGULARITY_PROBES = 3
 
 PLUS = "plus"
 MINUS = "minus"
@@ -104,9 +107,16 @@ def smallest_hermitian_eigenvalue(h: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(h)[0])
 
 
-def default_psd_tolerance(h: np.ndarray) -> float:
+def psd_slack(h: np.ndarray) -> float:
     """Scale-relative slack for semidefiniteness checks: 64*eps*max|eig|."""
     return 64.0 * EPS * spectral_norm(h)
+
+
+def require_psd(name: str, h: np.ndarray, tol: float) -> None:
+    """PoshValidationError naming h when the Hermitian h has an eigenvalue < -tol."""
+    lam = smallest_hermitian_eigenvalue(h)
+    if lam < -tol:
+        raise PoshValidationError(name, lam, tol)
 
 
 def is_positive_definite(h: np.ndarray) -> bool:
@@ -115,7 +125,8 @@ def is_positive_definite(h: np.ndarray) -> bool:
     if h.shape[0] == 0:
         return True
     try:
-        np.linalg.cholesky(0.5 * (h + h.conj().T))
+        # halving before the sum keeps entries near the float limit finite
+        np.linalg.cholesky(0.5 * h + 0.5 * h.conj().T)
     except np.linalg.LinAlgError:
         return False
     return True
@@ -139,6 +150,26 @@ def hermitian_split(m) -> HermitianSplit:
     m = as_complex_matrix(m, "matrix", square=True)
     mh = m.conj().T
     return HermitianSplit(skew=_frozen(0.5 * (m - mh)), herm=_frozen(0.5 * (m + mh)))
+
+
+def structured_part(m, name: str, skew: bool = False) -> np.ndarray:
+    """The Hermitian part of m, or its skew-Hermitian part when skew is set.
+
+    The part projected away may have norm at most
+    STRUCTURE_DRIFT_TOL*(1 + ||m||); larger drift raises PreconditionError
+    naming the matrix.
+    """
+    m = as_complex_matrix(m, name, square=True)
+    split = hermitian_split(m)
+    keep, drop = (split.skew, split.herm) if skew else (split.herm, split.skew)
+    drift = spectral_norm(drop)
+    allowed = STRUCTURE_DRIFT_TOL * (1.0 + spectral_norm(m))
+    if drift > allowed:
+        raise PreconditionError(
+            f"{name} is not {'skew-Hermitian' if skew else 'Hermitian'}: "
+            f"drift {drift:.3e} exceeds tolerance {allowed:.6e}"
+        )
+    return keep
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,15 +232,15 @@ class PoshPencil:
     """Plus-convention pencil lambda(J1+R1) + (J2+R2).
 
     The j coefficients must be exactly skew-Hermitian and the r coefficients
-    exactly Hermitian with smallest eigenvalue >= -psd_tolerance. Use
-    :func:`posh_from_parts` to build one from nearly-structured matrices.
+    exactly Hermitian with smallest eigenvalue >= -tol, where tol is the
+    larger psd_slack of r1 and r2. Use :func:`posh_from_parts`
+    to build one from nearly-structured matrices.
     """
 
     j1: np.ndarray
     r1: np.ndarray
     j2: np.ndarray
     r2: np.ndarray
-    psd_tolerance: float | None = None
 
     def __post_init__(self):
         mats = {}
@@ -225,19 +256,11 @@ class PoshPencil:
         for name in ("r1", "r2"):
             if not np.array_equal(mats[name].conj().T, mats[name]):
                 raise PreconditionError(f"{name} is not exactly Hermitian")
-        tol = self.psd_tolerance
-        if tol is None:
-            tol = max(default_psd_tolerance(mats["r1"]), default_psd_tolerance(mats["r2"]))
-        tol = float(tol)
-        if tol < 0:
-            raise PreconditionError("psd_tolerance must be nonnegative")
+        tol = max(psd_slack(mats["r1"]), psd_slack(mats["r2"]))
         for name in ("r1", "r2"):
-            lam = smallest_hermitian_eigenvalue(mats[name])
-            if lam < -tol:
-                raise PoshValidationError(name, lam, tol)
+            require_psd(name, mats[name], tol)
         for name, m in mats.items():
             object.__setattr__(self, name, m)
-        object.__setattr__(self, "psd_tolerance", tol)
 
     @property
     def n(self) -> int:
@@ -256,15 +279,15 @@ class DhPencil:
     """Minus-convention pencil lambda*E - (J - R)Q.
 
     Requires J exactly skew-Hermitian, R exactly Hermitian with
-    lambda_min >= -tolerance, and Q*E Hermitian within tolerance with
-    lambda_min of its Hermitian part >= -tolerance.
+    lambda_min >= -tol, and Q*E Hermitian within 2*tol + eps with
+    lambda_min of its Hermitian part >= -tol, where
+    tol = 64*eps*(||Q|| ||E|| + ||R||).
     """
 
     e: np.ndarray
     j: np.ndarray
     r: np.ndarray
     q: np.ndarray
-    tolerance: float | None = None
 
     def __post_init__(self):
         mats = {}
@@ -279,16 +302,11 @@ class DhPencil:
         if not np.array_equal(mats["r"].conj().T, mats["r"]):
             raise PreconditionError("r is not exactly Hermitian")
         qe = mats["q"].conj().T @ mats["e"]
-        tol = self.tolerance
-        if tol is None:
-            tol = 64.0 * EPS * (
-                spectral_norm(mats["q"]) * spectral_norm(mats["e"])
-                + spectral_norm(mats["r"])
-            )
-        tol = float(tol)
-        lam_r = smallest_hermitian_eigenvalue(mats["r"])
-        if lam_r < -tol:
-            raise PoshValidationError("r", lam_r, tol)
+        tol = 64.0 * EPS * (
+            spectral_norm(mats["q"]) * spectral_norm(mats["e"])
+            + spectral_norm(mats["r"])
+        )
+        require_psd("r", mats["r"], tol)
         if n:
             drift = spectral_norm(qe - qe.conj().T)
             if drift > 2.0 * tol + EPS:
@@ -296,12 +314,9 @@ class DhPencil:
                     f"q*e is not Hermitian: asymmetry norm {drift:.6e} exceeds "
                     f"tolerance {2.0 * tol + EPS:.6e}"
                 )
-            lam_qe = smallest_hermitian_eigenvalue(0.5 * (qe + qe.conj().T))
-            if lam_qe < -tol:
-                raise PoshValidationError("q*e", lam_qe, tol)
+            require_psd("q*e", 0.5 * (qe + qe.conj().T), tol)
         for name, m in mats.items():
             object.__setattr__(self, name, m)
-        object.__setattr__(self, "tolerance", tol)
 
     @property
     def n(self) -> int:
@@ -311,7 +326,7 @@ class DhPencil:
         return Pencil(self.e, (self.j - self.r) @ self.q, MINUS)
 
 
-def validate_posh(p: Pencil, tol: float | None = None) -> PoshPencil:
+def validate_posh(p: Pencil) -> PoshPencil:
     """Split a square pencil and check both Hermitian parts for PSD.
 
     Accepts either convention; a minus pencil is converted to plus first so
@@ -324,47 +339,24 @@ def validate_posh(p: Pencil, tol: float | None = None) -> PoshPencil:
         raise DimensionError(f"pencil must be square, got shape {p.shape}")
     s1 = hermitian_split(p.lead)
     s2 = hermitian_split(p.constant)
-    return PoshPencil(s1.skew, s1.herm, s2.skew, s2.herm, psd_tolerance=tol)
+    return PoshPencil(s1.skew, s1.herm, s2.skew, s2.herm)
 
 
-def posh_from_parts(
-    j1,
-    r1,
-    j2,
-    r2,
-    psd_tolerance: float | None = None,
-    structure_tolerance: float | None = None,
-) -> PoshPencil:
+def posh_from_parts(j1, r1, j2, r2) -> PoshPencil:
     """Build a PoshPencil from nearly skew / nearly Hermitian matrices.
 
-    Each input is projected onto its exact structured part; the discarded
-    remainder must stay below structure_tolerance (default scale-relative).
+    Each input is projected onto its exact structured part by
+    :func:`structured_part`.
     """
-    cleaned = []
-    for name, m, kind in (
-        ("j1", j1, "skew"),
-        ("r1", r1, "herm"),
-        ("j2", j2, "skew"),
-        ("r2", r2, "herm"),
-    ):
-        m = as_complex_matrix(m, name, square=True)
-        split = hermitian_split(m)
-        keep, drop = (
-            (split.skew, split.herm) if kind == "skew" else (split.herm, split.skew)
-        )
-        allowed = structure_tolerance
-        if allowed is None:
-            allowed = STRUCTURE_DRIFT_TOL * (1.0 + spectral_norm(m))
-        if spectral_norm(drop) > allowed:
-            raise PreconditionError(
-                f"{name} is not {'skew-Hermitian' if kind == 'skew' else 'Hermitian'}"
-                f" within tolerance {allowed:.6e}"
-            )
-        cleaned.append(keep)
-    return PoshPencil(*cleaned, psd_tolerance=psd_tolerance)
+    return PoshPencil(
+        structured_part(j1, "j1", skew=True),
+        structured_part(r1, "r1"),
+        structured_part(j2, "j2", skew=True),
+        structured_part(r2, "r2"),
+    )
 
 
-def probe_regular(p: Pencil, attempts: int = 3, seed: int = 0) -> bool:
+def probe_regular(p: Pencil) -> bool:
     """Random-shift regularity probe.
 
     Evaluates the pencil at random points of the unit disk scaled to the
@@ -379,8 +371,8 @@ def probe_regular(p: Pencil, attempts: int = 3, seed: int = 0) -> bool:
         return True
     m = p.to_minus()
     scale = (spectral_norm(m.constant) + EPS) / (spectral_norm(m.lead) + EPS)
-    rng = np.random.default_rng(seed)
-    for _ in range(attempts):
+    rng = np.random.default_rng(0)
+    for _ in range(REGULARITY_PROBES):
         radius = np.sqrt(rng.uniform(0.25, 1.0))
         angle = rng.uniform(0.0, 2.0 * np.pi)
         z = scale * radius * np.exp(1j * angle)
@@ -405,7 +397,7 @@ def generalized_eigenvalues(p: Pencil) -> list:
         raise DimensionError(f"pencil must be square, got shape {p.shape}")
     if not probe_regular(p):
         raise SingularPencilError(
-            "pencil is singular: rank deficient at 3 random shifts"
+            f"pencil is singular: rank deficient at {REGULARITY_PROBES} random shifts"
         )
     m = p.to_minus()
     n = m.shape[0]

@@ -39,8 +39,8 @@ class SingularPencilError(PreconditionError):
 class RankAmbiguityError(PencilLabError):
     """A numerical rank decision was too close to call.
 
-    Carries the offending decision so callers can inspect the singular
-    values and retry with a different policy.
+    Carries the offending decision, when there is one, so callers can
+    inspect its singular values, gap ratio and tolerance.
     """
 
     def __init__(self, message: str, decision=None):

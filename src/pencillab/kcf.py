@@ -22,35 +22,29 @@ answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .core import EPS, INFINITE_EIGENVALUE_TOL, Pencil, spectral_norm
+from .core import EPS, Pencil, spectral_norm
 from .errors import PreconditionError, RankAmbiguityError
 
-
-@dataclass(frozen=True)
-class RankPolicy:
-    """Knobs for every numerical rank decision made during extraction.
-
-    kappa_safety scales the usual max(rows,cols)*sigma_max*eps cutoff;
-    ambiguity_gap is the minimum ratio between the smallest kept and the
-    largest dropped singular value before a decision is declared ambiguous;
-    cluster_radius is the relative eigenvalue clustering radius, escalated
-    tenfold per round for at most cluster_rounds rounds.
-    """
-
-    kappa_safety: float = 16.0
-    ambiguity_gap: float = 1e3
-    cluster_radius: float = 1e-6
-    cluster_rounds: int = 5
-    size_cap: int = 512
-    absolute_floor: float = 0.0
-
-
-DEFAULT_POLICY = RankPolicy()
+# A singular value is kept when it exceeds kappa*dim*scale*EPS, dim and scale
+# those of the input pencil; kappa starts at KAPPA_SAFETY and is escalated
+# x4, x16, x64 when a run is inconsistent.
+KAPPA_SAFETY = 16.0
+# A rank decision is ambiguous when the smallest kept singular value is
+# less than AMBIGUITY_GAP times the largest dropped one.
+AMBIGUITY_GAP = 1e3
+# Relative eigenvalue clustering radius, escalated tenfold per round for at
+# most CLUSTER_ROUNDS rounds.
+CLUSTER_RADIUS = 1e-6
+CLUSTER_ROUNDS = 5
+# Largest row or column count accepted.
+SIZE_CAP = 512
+# structures_match pairs eigenvalues within this relative distance.
+MATCH_EIGENVALUE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -130,19 +124,18 @@ def _decide_rank(
     sv: np.ndarray,
     dim: int,
     scale: float,
-    policy: RankPolicy,
+    kappa: float,
     extra_floor: float,
     context: str,
 ) -> int:
-    tol = dim * scale * EPS * policy.kappa_safety + policy.absolute_floor + extra_floor
+    tol = dim * scale * EPS * kappa + extra_floor
     rank = int(np.sum(sv > tol))
     if rank > 0 and float(sv[rank - 1]) < 8.0 * tol:
         # a kept value this close to the cutoff is indistinguishable from
         # accumulated roundoff; escalating kappa either absorbs it or not
         raise RankAmbiguityError(
             f"ambiguous rank decision in {context}: smallest kept value "
-            f"{sv[rank - 1]:.3e} sits at the tolerance boundary {tol:.3e}; "
-            "retry with an explicit RankPolicy",
+            f"{sv[rank - 1]:.3e} sits at the tolerance boundary {tol:.3e}",
             RankDecision(
                 singular_values=tuple(float(s) for s in sv),
                 rank=rank,
@@ -154,7 +147,7 @@ def _decide_rank(
     if 0 < rank < len(sv):
         dropped = float(sv[rank])
         gap = float(sv[rank - 1]) / dropped if dropped > 0.0 else float("inf")
-        if gap < policy.ambiguity_gap:
+        if gap < AMBIGUITY_GAP:
             decision = RankDecision(
                 singular_values=tuple(float(s) for s in sv),
                 rank=rank,
@@ -163,14 +156,14 @@ def _decide_rank(
             )
             raise RankAmbiguityError(
                 f"ambiguous rank decision in {context}: kept {sv[rank - 1]:.3e}, "
-                f"dropped {dropped:.3e} (gap {gap:.1f} < {policy.ambiguity_gap:.0f}, "
-                f"tolerance {tol:.3e}); retry with an explicit RankPolicy",
+                f"dropped {dropped:.3e} (gap {gap:.1f} < {AMBIGUITY_GAP:.0f}, "
+                f"tolerance {tol:.3e})",
                 decision,
             )
     return rank
 
 
-def _staircase_inf(E, A, policy: RankPolicy, extra_floor: float = 0.0, scale=None):
+def _staircase_inf(E, A, kappa: float, extra_floor: float = 0.0, scale=None):
     """Deflate the structure at infinity and the right singular part.
 
     Works on the pencil lambda*E - A. Returns the step counts (s_k, t_k)
@@ -196,7 +189,7 @@ def _staircase_inf(E, A, policy: RankPolicy, extra_floor: float = 0.0, scale=Non
         else:
             u_e, sv_e, vh_e = np.linalg.svd(E, full_matrices=True)
             rank_e = _decide_rank(
-                sv_e, dim0, scale, policy, extra_floor, "lead kernel"
+                sv_e, dim0, scale, kappa, extra_floor, "lead kernel"
             )
         s = cols - rank_e
         if s == 0:
@@ -215,7 +208,7 @@ def _staircase_inf(E, A, policy: RankPolicy, extra_floor: float = 0.0, scale=Non
         else:
             u_b, sv_b, _ = np.linalg.svd(b, full_matrices=True)
             t = _decide_rank(
-                sv_b, dim0, scale, policy, extra_floor, "kernel image"
+                sv_b, dim0, scale, kappa, extra_floor, "kernel image"
             )
         keep_rows = u_b[:, t:]
         E = keep_rows.conj().T @ (E @ keep_cols)
@@ -295,7 +288,7 @@ def _union_find_clusters(values, factor):
 
 
 def _cluster_multiplicities(
-    E, A, rep, count, radius_abs, policy, carried_floor, norm_e, norm_a
+    E, A, rep, count, radius_abs, kappa, carried_floor, norm_e, norm_a
 ):
     """Partial multiplicities of one eigenvalue cluster, or None on failure.
 
@@ -315,7 +308,7 @@ def _cluster_multiplicities(
             1.0 / rep,
             count,
             2.0 * radius_abs / abs(rep) ** 2,
-            policy,
+            kappa,
             carried_floor,
             norm_a,
             norm_e,
@@ -328,7 +321,7 @@ def _cluster_multiplicities(
     for factor in (1.0, 4.0, 16.0, 64.0):
         try:
             s_list, t_list, _, _ = _staircase_inf(
-                b, E, policy, extra_floor=factor * base + carried_floor, scale=scale
+                b, E, kappa, extra_floor=factor * base + carried_floor, scale=scale
             )
             minimal, sizes = _counts_from_staircase(s_list, t_list)
         except RankAmbiguityError:
@@ -354,7 +347,9 @@ def _certified_eigenvalues(E, A, floor: float):
         A, E, left=True, right=True, homogeneous_eigvals=True
     )
     alpha, beta = w
-    if np.any(np.abs(beta) <= INFINITE_EIGENVALUE_TOL * (np.abs(alpha) + np.abs(beta))):
+    # the staircase kept sigma_min(E) above floor, and no diagonal entry of
+    # the triangular factor of E is smaller than its sigma_min
+    if np.any(np.abs(beta) <= floor):
         raise RankAmbiguityError(
             "deflated core unexpectedly has an eigenvalue at infinity; "
             "rank tolerances likely misjudged the staircase"
@@ -376,7 +371,7 @@ def _certified_eigenvalues(E, A, floor: float):
     return values, apart.all(axis=1)
 
 
-def _finite_structure(E, A, policy: RankPolicy, carried_floor: float):
+def _finite_structure(E, A, kappa: float, carried_floor: float):
     """Clustered eigenvalues with partial multiplicities for a regular core.
 
     A certified simple eigenvalue alone in its cluster has multiplicities
@@ -387,8 +382,8 @@ def _finite_structure(E, A, policy: RankPolicy, carried_floor: float):
         return ()
     values, certified = _certified_eigenvalues(E, A, carried_floor)
     norms = None
-    for round_idx in range(policy.cluster_rounds):
-        factor = policy.cluster_radius * (10.0 ** round_idx)
+    for round_idx in range(CLUSTER_ROUNDS):
+        factor = CLUSTER_RADIUS * (10.0 ** round_idx)
         clusters = _union_find_clusters(values, factor)
         result = []
         ok = True
@@ -401,7 +396,7 @@ def _finite_structure(E, A, policy: RankPolicy, carried_floor: float):
             rep = complex(np.mean(values[members]))
             radius_abs = factor * (1.0 + abs(rep))
             mults = _cluster_multiplicities(
-                E, A, rep, len(members), radius_abs, policy, carried_floor, *norms
+                E, A, rep, len(members), radius_abs, kappa, carried_floor, *norms
             )
             if mults is None:
                 ok = False
@@ -416,16 +411,15 @@ def _finite_structure(E, A, policy: RankPolicy, carried_floor: float):
     )
 
 
-def kronecker_structure(p: Pencil, policy: RankPolicy | None = None) -> KroneckerStructure:
+def kronecker_structure(p: Pencil) -> KroneckerStructure:
     """Full Kronecker block data of a (possibly rectangular) pencil."""
-    policy = policy or DEFAULT_POLICY
     m = p.to_minus()
     E = np.array(m.lead)
     A = np.array(m.constant)
     rows, cols = E.shape
-    if max(rows, cols, 1) > policy.size_cap:
+    if max(rows, cols, 1) > SIZE_CAP:
         raise PreconditionError(
-            f"pencil size {rows}x{cols} exceeds the configured cap {policy.size_cap}"
+            f"pencil size {rows}x{cols} exceeds the cap {SIZE_CAP}"
         )
 
     # roundoff accumulated over successive compressions can cross a tight
@@ -433,24 +427,23 @@ def kronecker_structure(p: Pencil, policy: RankPolicy | None = None) -> Kronecke
     # when the independent derivations agree
     last_error: RankAmbiguityError | None = None
     for mult in (1.0, 4.0, 16.0, 64.0):
-        attempt = replace(policy, kappa_safety=policy.kappa_safety * mult)
         try:
-            return _extract_structure(E, A, rows, cols, attempt)
+            return _extract_structure(E, A, rows, cols, KAPPA_SAFETY * mult)
         except RankAmbiguityError as err:
             last_error = err
     raise last_error
 
 
-def _extract_structure(E, A, rows, cols, policy: RankPolicy) -> KroneckerStructure:
+def _extract_structure(E, A, rows, cols, kappa: float) -> KroneckerStructure:
     # truncation garbage left in deflated cores is proportional to the scale
     # of the ORIGINAL pencil, so later phases must not trust core-local scale
     scale = max(spectral_norm(E), spectral_norm(A))
-    global_floor = policy.kappa_safety * EPS * max(rows, cols, 1) * scale
+    global_floor = kappa * EPS * max(rows, cols, 1) * scale
 
-    s1, t1, e_core, a_core = _staircase_inf(E, A, policy, scale=scale)
+    s1, t1, e_core, a_core = _staircase_inf(E, A, kappa, scale=scale)
     right, inf_sizes = _counts_from_staircase(s1, t1)
 
-    s2, t2, _, _ = _staircase_inf(E.conj().T, A.conj().T, policy)
+    s2, t2, _, _ = _staircase_inf(E.conj().T, A.conj().T, kappa)
     left_indep, inf_indep = _counts_from_staircase(s2, t2)
     if inf_indep != inf_sizes:
         raise RankAmbiguityError(
@@ -459,7 +452,7 @@ def _extract_structure(E, A, rows, cols, policy: RankPolicy) -> KroneckerStructu
         )
 
     s3, t3, e2h, a2h = _staircase_inf(
-        e_core.conj().T, a_core.conj().T, policy, extra_floor=global_floor
+        e_core.conj().T, a_core.conj().T, kappa, extra_floor=global_floor
     )
     left, inf_leftover = _counts_from_staircase(s3, t3)
     if inf_leftover:
@@ -481,7 +474,7 @@ def _extract_structure(E, A, rows, cols, policy: RankPolicy) -> KroneckerStructu
             "rank tolerances misjudged the singular structure"
         )
 
-    finite = _finite_structure(e_reg, a_reg, policy, global_floor)
+    finite = _finite_structure(e_reg, a_reg, kappa, global_floor)
     inf_tuple = tuple(inf_sizes)
     return KroneckerStructure(
         right_minimal_indices=tuple(right),
@@ -495,12 +488,8 @@ def _extract_structure(E, A, rows, cols, policy: RankPolicy) -> KroneckerStructu
     )
 
 
-def structures_match(
-    a: KroneckerStructure,
-    b: KroneckerStructure,
-    eigenvalue_tolerance: float = 1e-6,
-) -> bool:
-    """Integer-exact comparison with eigenvalue matching up to a tolerance."""
+def structures_match(a: KroneckerStructure, b: KroneckerStructure) -> bool:
+    """Integer-exact comparison, eigenvalues matched within MATCH_EIGENVALUE_TOL."""
     if (
         a.right_minimal_indices != b.right_minimal_indices
         or a.left_minimal_indices != b.left_minimal_indices
@@ -524,7 +513,7 @@ def structures_match(
         if best is None:
             return False
         mu = remaining[best][0]
-        if abs(lam - mu) > eigenvalue_tolerance * (1.0 + abs(mu)):
+        if abs(lam - mu) > MATCH_EIGENVALUE_TOL * (1.0 + abs(mu)):
             return False
         remaining.pop(best)
     return True

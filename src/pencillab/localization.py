@@ -42,6 +42,10 @@ QUADFORM_TOL = 1e-10
 KRONECKER_SIZE_CAP = 64
 # relative size below which eejjx_by_spectral treats a form or a J product as zero
 SPECTRAL_RELATIVE_TOL = 1e-12
+# sector_membership: points within SECTOR_ZERO_RADIUS of the origin never
+# violate, and the angle test gives SECTOR_ANGLE_TOL radians of slack.
+SECTOR_ANGLE_TOL = 1e-6
+SECTOR_ZERO_RADIUS = 1e-8
 
 
 def eejjx_value(pp: PoshPencil, x) -> float:
@@ -400,18 +404,20 @@ def lhp_certificate(
     return LhpCertificate(status, "none", "none", "none", None, tuple(notes))
 
 
-def sector_membership(points, d: int, tol: float = 1e-6, zero_radius: float = 1e-8):
+def sector_membership(points, d: int):
     """Points that fall inside the forbidden sector |arg z| < pi/d.
 
-    Points within zero_radius of the origin never violate; the angle test
-    carries a tolerance of tol radians.  The violations come back as Python
-    complex, in input order.
+    Points within SECTOR_ZERO_RADIUS of the origin never violate; the angle
+    test carries a tolerance of SECTOR_ANGLE_TOL radians.  The violations
+    come back as Python complex, in input order.
     """
     d = int(d)
     if d < 1:
         raise PreconditionError("degree must be at least 1")
     z = np.asarray(points, dtype=np.complex128)
-    inside = (np.abs(z) > zero_radius) & (np.abs(np.angle(z)) < math.pi / d - tol)
+    inside = (np.abs(z) > SECTOR_ZERO_RADIUS) & (
+        np.abs(np.angle(z)) < math.pi / d - SECTOR_ANGLE_TOL
+    )
     return z[inside].tolist()
 
 

@@ -12,14 +12,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    STRUCTURE_DRIFT_TOL,
     PoshPencil,
     as_complex_matrix,
-    default_psd_tolerance,
     is_positive_definite,
+    psd_slack,
     quadratic_forms,
-    smallest_hermitian_eigenvalue,
+    require_psd,
     spectral_norm,
+    structured_part,
 )
 from .errors import (
     DimensionError,
@@ -68,33 +68,16 @@ class MatrixPolynomial:
         return acc
 
 
-def psd_validated(
-    p: MatrixPolynomial,
-    psd_tolerance: float | None = None,
-    structure_tolerance: float | None = None,
-) -> MatrixPolynomial:
+def psd_validated(p: MatrixPolynomial) -> MatrixPolynomial:
     """Project coefficients to their Hermitian parts and check PSD.
 
-    Small non-Hermitian drift (relative STRUCTURE_DRIFT_TOL by default) is
-    projected away; larger drift or an indefinite coefficient is rejected.
+    Small non-Hermitian drift is projected away by structured_part; larger
+    drift or an indefinite coefficient is rejected.
     """
     fixed = []
     for k, a in enumerate(p.coefficients):
-        herm = (a + a.conj().T) / 2.0
-        drift = spectral_norm(a - herm)
-        allowed = (
-            structure_tolerance
-            if structure_tolerance is not None
-            else STRUCTURE_DRIFT_TOL * (1.0 + spectral_norm(a))
-        )
-        if drift > allowed:
-            raise PreconditionError(
-                f"coefficient {k} is not Hermitian (drift {drift:.3e})"
-            )
-        tol = psd_tolerance if psd_tolerance is not None else default_psd_tolerance(herm)
-        lam = smallest_hermitian_eigenvalue(herm)
-        if lam < -tol:
-            raise PoshValidationError(f"coefficient {k}", lam, tol)
+        herm = structured_part(a, f"coefficient {k}")
+        require_psd(f"coefficient {k}", herm, psd_slack(herm))
         fixed.append(herm)
     return MatrixPolynomial(tuple(fixed))
 
@@ -282,11 +265,12 @@ def cubic_stability(p: MatrixPolynomial) -> CubicStabilityReport:
     h0 = np.block([[a3, z], [z, a1 + a2]])
     h1 = np.block([[z, -1j * a3], [1j * a3, z]])
     beta_star = definiteness_threshold(h0, h1)
-    d2 = a2 - a3
-    d1 = a1 - a0
-    pos2 = smallest_hermitian_eigenvalue(d2) >= -default_psd_tolerance(
-        d2
-    ) and smallest_hermitian_eigenvalue(d1) >= -default_psd_tolerance(d1)
+    try:
+        for name, d in (("a2 - a3", a2 - a3), ("a1 - a0", a1 - a0)):
+            require_psd(name, d, psd_slack(d))
+        pos2 = True
+    except PoshValidationError:
+        pos2 = False
     regions = ()
     if beta_star is not None and beta_star > 0.0:
         regions = (
@@ -306,10 +290,7 @@ def mgt_stability(a: float, b: float, c: float, t) -> str:
     a, b, c = float(a), float(b), float(c)
     if not (a > 0.0 and b > 0.0 and c > 0.0):
         raise PreconditionError("the scalar parameters must be positive")
-    t = as_complex_matrix(t, "t", square=True)
-    herm = (t + t.conj().T) / 2.0
-    if spectral_norm(t - herm) > STRUCTURE_DRIFT_TOL * (1.0 + spectral_norm(t)):
-        raise PreconditionError("t must be Hermitian")
+    herm = structured_part(t, "t")
     if not is_positive_definite(herm):
         raise PreconditionError("t must be positive definite")
     return "lhp_certified" if (a > 1.0 and b > c) else "inconclusive"

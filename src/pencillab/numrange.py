@@ -22,9 +22,9 @@ from .core import (
     Pencil,
     PoshPencil,
     as_complex_matrix,
-    default_psd_tolerance,
     is_positive_definite,
     probe_regular,
+    psd_slack,
     quadratic_forms,
     smallest_hermitian_eigenvalue,
     spectral_norm,
@@ -191,6 +191,13 @@ def _definiteness_thresholds(h0, h1) -> tuple:
     )
 
 
+def _definite_at(h0, g, t) -> bool:
+    """is_positive_definite(h0 + t*g); a sum that overflows is not definite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = h0 + t * g
+    return bool(np.all(np.isfinite(m))) and is_positive_definite(m)
+
+
 def _threshold(h0, g, w) -> float:
     """sup{beta >= 0 : h0 + beta*g definite} for g not semidefinite.
 
@@ -200,8 +207,9 @@ def _threshold(h0, g, w) -> float:
     rounds w[0] relative to max|w|, so while w[-1] outweighs it the pair is
     solved again from the definite h0 + t*g, t moved halfway to the
     estimate t - 1/w[0] or, where w[0] is within rounding, by half the
-    reciprocal of the rounding.  The estimate, lowered by 2*n*eps relative,
-    is stepped down by a doubling relative step until Cholesky accepts it.
+    reciprocal of the rounding.  The estimate, lowered by 2*n*eps relative
+    and halved while beta*g overflows, is stepped down by a doubling
+    relative step until Cholesky accepts it.
     """
     n = h0.shape[0]
     t = 0.0
@@ -209,14 +217,17 @@ def _threshold(h0, g, w) -> float:
     while -w_min < w_max:
         edge = max(-w_min, 16.0 * n * EPS * w_max)
         t_next = t + 0.5 / edge if edge > 0.0 else math.inf
-        if t_next == math.inf or not is_positive_definite(h0 + t_next * g):
+        if t_next == math.inf or not _definite_at(h0, g, t_next):
             break
         t = t_next
         w = scipy.linalg.eigh(g, h0 + t * g, eigvals_only=True)
         w_min, w_max = float(w[0]), float(w[-1])
     beta = (t - 1.0 / w_min) * (1.0 - 2.0 * n * EPS) if w_min < 0.0 else t
+    with np.errstate(over="ignore", invalid="ignore"):
+        while t < beta < math.inf and not np.all(np.isfinite(beta * g)):
+            beta = max(0.5 * beta, t)
     step = EPS
-    while t < beta < math.inf and not is_positive_definite(h0 + beta * g):
+    while t < beta < math.inf and not _definite_at(h0, g, beta):
         beta = max(beta - step * beta, t)
         step *= 2.0
     return beta
@@ -251,7 +262,7 @@ def beta_thresholds_scaled(pp: PoshPencil, t: float) -> BetaThresholds:
     j1_norm = spectral_norm(pp.j1)
     strip = None
     lam_min_r2 = smallest_hermitian_eigenvalue(pp.r2)
-    if j1_norm > 0.0 and lam_min_r2 > default_psd_tolerance(pp.r2):
+    if j1_norm > 0.0 and lam_min_r2 > psd_slack(pp.r2):
         strip = lam_min_r2 / j1_norm
     k = 1j * pp.j1
     return _thresholds(t * pp.r1 + pp.r2, k, j1_norm, strip)

@@ -182,6 +182,14 @@ def test_kcf_and_dh_check(stable_posh, tmp_path, capsys):
     assert "holds" in capsys.readouterr().out
 
 
+def test_kcf_stdout_is_the_out_document(stable_posh, tmp_path, capsys):
+    out = tmp_path / "kcf.json"
+    assert main(["kcf", stable_posh, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["kcf", stable_posh]) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
 def test_dh_realize_output(stable_posh, tmp_path, capsys):
     out = tmp_path / "dh.json"
     assert main(["dh-realize", stable_posh, "--out", str(out)]) == 0

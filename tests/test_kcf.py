@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,9 +7,8 @@ import scipy.linalg
 from pencillab.core import EPS, Pencil, PoshPencil, spectral_norm
 from pencillab.errors import PreconditionError, RankAmbiguityError
 from pencillab.kcf import (
-    DEFAULT_POLICY,
+    KAPPA_SAFETY,
     KroneckerStructure,
-    RankPolicy,
     _certified_eigenvalues,
     kronecker_structure,
     structures_match,
@@ -46,12 +47,8 @@ def test_jordan_block_multiplicity():
     ks = kronecker_structure(p)
     assert [m for lam, m in ks.finite_eigenstructure if abs(lam - target) < 1e-3] == [(3,)]
     assert sorted(m for _, m in ks.finite_eigenstructure) == [(1,)] * 7 + [(3,)]
-    floor = (
-        DEFAULT_POLICY.kappa_safety
-        * EPS
-        * p.lead.shape[0]
-        * max(spectral_norm(p.lead), spectral_norm(p.constant))
-    )
+    scale = max(spectral_norm(p.lead), spectral_norm(p.constant))
+    floor = KAPPA_SAFETY * EPS * p.lead.shape[0] * scale
     values, certified = _certified_eigenvalues(p.lead, p.constant, floor)
     split = np.abs(values - target) < 1e-3
     assert split.sum() == 3
@@ -206,9 +203,31 @@ def test_recovery_loop_many_seeds():
 
 
 def test_size_cap_rejected():
-    policy = RankPolicy(size_cap=3)
     with pytest.raises(PreconditionError):
-        kronecker_structure(Pencil(np.eye(4), np.eye(4), "minus"), policy)
+        kronecker_structure(Pencil(np.eye(513), np.eye(513), "minus"))
+
+
+def test_one_by_one_tiny_leads_are_finite():
+    # a lead far below the constant but above the rank floor is a finite
+    # eigenvalue; the core's QZ must not read it as infinite and refuse
+    ks = kronecker_structure(PoshPencil([[1e-20j]], [[0]], [[1e-9j]], [[0]]).pencil())
+    assert [(lam, m) for lam, m in ks.finite_eigenstructure] == [(-1e11, (1,))]
+    imag = [0.0, 1.0, -1.0, 0.5, 3.0, 1e-9, 1e-20, 1e-200, 2.2e-308]
+    real = [0.0, 1.0, 1e-20, 2.2e-308]
+    for j1, r1, j2, r2 in itertools.product(imag, real, imag, real):
+        where = (j1, r1, j2, r2)
+        pp = PoshPencil([[1j * j1]], [[r1]], [[1j * j2]], [[r2]])
+        ks = kronecker_structure(pp.pencil())
+        lead, const = complex(r1, j1), complex(r2, j2)
+        if lead == const == 0:
+            assert ks.right_minimal_indices == ks.left_minimal_indices == (0,), where
+        elif ks.infinite_block_sizes:
+            assert ks.infinite_block_sizes == (1,), where
+            assert abs(lead) < 1e-12 * abs(const), where
+        else:
+            ((lam, mults),) = ks.finite_eigenstructure
+            assert mults == (1,), where
+            assert abs(lam + const / lead) <= 1e-12 * abs(const / lead), where
 
 
 def test_empty_pencil():

@@ -207,7 +207,7 @@ def test_rayleigh_roots_respect_sector():
         n = int(rng.integers(1, 4))
         p = random_psd_polynomial(rng, n, d, pd_constant=True)
         roots = sample_rayleigh_roots(p, 200, seed=k)
-        assert sector_membership(roots, d, tol=1e-6) == []
+        assert sector_membership(roots, d) == []
 
 
 def _rayleigh_roots_per_vector(p, n_samples, seed):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -137,6 +138,17 @@ def test_definiteness_threshold_resolves_a_graded_pair():
         h0, h1 = u @ np.diag(d0) @ u.conj().T, u @ np.diag(d1) @ u.conj().T
         got = definiteness_threshold(h0, h1)
         assert math.isclose(got, 1e6, rel_tol=1e-6) and is_positive_definite(h0 + got * h1), n
+
+
+def test_definiteness_threshold_near_the_float_limit():
+    # the supremum is 1e300, but beta*h1 overflows for beta above about
+    # 1.8e298: an overflowing trial counts as not definite, without a warning
+    h0, h1 = 1e300 * np.eye(2), np.diag([1e10, -1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = definiteness_threshold(h0, h1)
+        assert 0.0 < got <= 1e300 and is_positive_definite(h0 + got * h1)
+        assert is_positive_definite(np.diag([1.5e308, 1.5e308]))
 
 
 def test_beta_thresholds_fields_are_python_floats():

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from pencillab.core import EPS, Pencil, PoshPencil, is_positive_definite
 from pencillab.dh import check_dh_equivalence, realize_dh
-from pencillab.errors import RankAmbiguityError
 from pencillab.kcf import KroneckerStructure, kronecker_structure, structures_match
 from pencillab.localization import lhp_certificate, regularity_conditions_report
 from pencillab.numrange import beta_thresholds, nocommon_chain_report
@@ -120,15 +119,10 @@ def edge_posh_pencils(draw):
 @given(pp=edge_posh_pencils())
 def test_edge_sizes_run_through_every_analysis(pp):
     n = pp.n
-    try:
-        ks = kronecker_structure(pp.pencil())
-    except RankAmbiguityError:
-        # a refused rank decision is a valid outcome; it is never guessed
-        ks = None
-    if ks is not None:
-        assert (ks.rows, ks.cols) == (n, n)
-        if check_dh_equivalence(ks).holds:
-            assert realize_dh(ks).n == n
+    ks = kronecker_structure(pp.pencil())
+    assert (ks.rows, ks.cols) == (n, n)
+    if check_dh_equivalence(ks).holds:
+        assert realize_dh(ks).n == n
     beta_thresholds(pp)
     cert = lhp_certificate(pp, falsify_budget=50)
     assert cert.eejjx_status in (
@@ -140,9 +134,8 @@ def test_edge_sizes_run_through_every_analysis(pp):
     )
     chain = nocommon_chain_report(pp, structure=ks)
     regularity = regularity_conditions_report(pp)
-    if ks is not None:
-        assert chain.e.value is ks.regular
-        assert regularity.p_regular is ks.regular
+    assert chain.e.value is ks.regular
+    assert regularity.p_regular is ks.regular
 
 
 @st.composite
