@@ -38,10 +38,13 @@ from .fileio import (
     complex_to_json,
     file_sha256,
     float_to_json,
+    load_json_document,
     load_pencil_file,
     load_polynomial_file,
     matrix_to_json,
+    pencil_from_document,
     points_to_csv,
+    polynomial_from_document,
     region_to_json,
     regions_to_json,
     report_to_json,
@@ -456,12 +459,9 @@ def cmd_lin(args) -> int:
 
 def cmd_report(args) -> int:
     seed = _resolve_seed(args)
-    try:
-        poly = load_polynomial_file(args.file)
-        is_poly = True
-    except InputFormatError:
-        is_poly = False
-    if is_poly:
+    doc = load_json_document(args.file)
+    if "coefficients" in doc:
+        poly = polynomial_from_document(doc, args.file)
         results = {}
         idx, bound = polynomial_index(poly)
         results["polynomial_index"] = {
@@ -475,7 +475,7 @@ def cmd_report(args) -> int:
         _emit(args, rep)
         return EXIT_OK
 
-    obj = load_pencil_file(args.file)
+    obj = pencil_from_document(doc, args.file)
     results = {}
     try:
         pp = _as_posh(obj)

@@ -99,12 +99,16 @@ def matrix_to_json(mat) -> list:
 
 
 def load_pencil_file(path: str):
-    """Load a pencil document: returns a PoshPencil or a plain Pencil.
+    """Load a pencil document: returns a PoshPencil or a plain Pencil."""
+    return pencil_from_document(load_json_document(path), path)
+
+
+def pencil_from_document(doc: dict, path: str):
+    """The pencil a decoded document holds; path only names it in errors.
 
     Documents with j1/r1/j2/r2 keys produce a PoshPencil; documents with
     lead/const produce a Pencil in the stated convention.
     """
-    doc = load_json_document(path)
     if all(k in doc for k in ("j1", "r1", "j2", "r2")):
         parts = [parse_matrix(doc[k], f"{path}:{k}") for k in ("j1", "r1", "j2", "r2")]
         n = parts[0].shape[0]
@@ -131,7 +135,11 @@ def load_pencil_file(path: str):
 
 
 def load_polynomial_file(path: str) -> MatrixPolynomial:
-    doc = load_json_document(path)
+    return polynomial_from_document(load_json_document(path), path)
+
+
+def polynomial_from_document(doc: dict, path: str) -> MatrixPolynomial:
+    """The matrix polynomial a decoded document holds; path names it in errors."""
     if "coefficients" not in doc:
         raise InputFormatError(f"{path}: missing 'coefficients'")
     coeffs = doc["coefficients"]

@@ -40,6 +40,11 @@ from .numrange import _kernel_verdicts, common_kernel
 
 QUADFORM_TOL = 1e-10
 KRONECKER_SIZE_CAP = 64
+# eejjx_by_kronecker proves K <= 0 by a Cholesky of delta*I - K, with delta
+# this multiple of ||K||_inf
+KRONECKER_SHIFT = 64.0 * EPS
+# complex entries per row block of the Kronecker prover's assembly and norm
+_BLOCK_ENTRIES = 1 << 15
 # relative size below which eejjx_by_spectral treats a form or a J product as zero
 SPECTRAL_RELATIVE_TOL = 1e-12
 # sector_membership: points within SECTOR_ZERO_RADIUS of the origin never
@@ -70,36 +75,49 @@ def _symmetric_kronecker_form(pp: PoshPencil) -> np.ndarray:
     Row and column p = (i, j), i <= j, stand for the orthonormal basis
     vector e_i (x) e_i when i == j and (e_i (x) e_j + e_j (x) e_i)/sqrt(2)
     otherwise.  The entries are read off the coefficients, so neither the
-    n^2 x n^2 product nor the isometry onto the subspace is formed.
+    n^2 x n^2 product nor the isometry onto the subspace is formed.  Up to
+    the basis scales, row p of the compressed A (x) B holds Y[k, l] + Y[l, k]
+    at column q = (k, l), with Y = outer(A[i], B[j]) + outer(A[j], B[i]).
+    Each row's J1 (x) J2 and R1 (x) R2 terms come from one rank-4 product,
+    batched over blocks of rows, so the output is the only n(n+1)/2-square
+    array allocated.  eejjx_by_kronecker accepts when the Cholesky of
+    delta*I minus this form succeeds.
     """
-    i, j = np.triu_indices(pp.n)
-    ii, jj, ij, ji = np.ix_(i, i), np.ix_(j, j), np.ix_(i, j), np.ix_(j, i)
-
-    def compressed(a, b):
-        # (e_i e_j + e_j e_i)* (A (x) B) (e_k e_l + e_l e_k) as two pairs of
-        # terms that swap into each other under conjugate transposition, so
-        # the sum is exactly Hermitian for exactly structured coefficients
-        out = a[ii] * b[jj]
-        out += a[jj] * b[ii]
-        cross = a[ij] * b[ji]
-        cross += a[ji] * b[ij]
-        out += cross
-        return out
-
-    form = compressed(pp.j1, pp.j2)
-    form -= compressed(pp.r1, pp.r2)
+    n = pp.n
+    i, j = np.triu_indices(n)
     scale = np.where(i == j, 0.5, math.sqrt(0.5))
-    form *= np.outer(scale, scale)
+    # left[i] has columns J1[i], R1[i]; right[j] has rows J2[j], -R2[j]
+    left = np.stack((pp.j1, pp.r1), axis=2)
+    right = np.stack((pp.j2, -pp.r2), axis=1)
+    ij, ji = i * n + j, j * n + i
+    form = np.empty((i.size, i.size), dtype=np.complex128)
+    step = max(1, _BLOCK_ENTRIES // max(1, n * n))
+    for start in range(0, i.size, step):
+        bi, bj = i[start : start + step], j[start : start + step]
+        y = np.matmul(
+            np.concatenate((left[bi], left[bj]), axis=2),
+            np.concatenate((right[bj], right[bi]), axis=1),
+        ).reshape(bi.size, n * n)
+        rows = form[start : start + step]
+        np.take(y, ij, axis=1, out=rows)
+        rows += np.take(y, ji, axis=1)
+        rows *= scale[start : start + step, None]
+        rows *= scale
     return form
 
 
 def eejjx_by_kronecker(pp: PoshPencil) -> bool:
-    """Largest eigenvalue test on J1 (x) J2 - R1 (x) R2 on the symmetric subspace.
+    """J1 (x) J2 - R1 (x) R2 negative semidefinite on the symmetric subspace.
 
     The quadratic form equals (x (x) x)* K (x (x) x) with this Hermitian K,
     and x (x) x lies in the symmetric subspace, of dimension n(n+1)/2; K
     negative semidefinite there is sufficient.  It is implied by K negative
     semidefinite on the whole space, so this proves at least as much.
+
+    Accepts when K is zero, or when the Cholesky factorization of
+    delta*I - K succeeds, with delta = KRONECKER_SHIFT*||K||_inf = 64*eps
+    times the largest absolute row sum, an upper bound on max|eig(K)|; no
+    eigensolver runs.
     """
     if pp.n > KRONECKER_SIZE_CAP:
         raise PreconditionError(
@@ -108,9 +126,22 @@ def eejjx_by_kronecker(pp: PoshPencil) -> bool:
         )
     if pp.n == 0:
         return True
-    w = np.linalg.eigvalsh(_symmetric_kronecker_form(pp))
-    scale = max(abs(float(w[0])), abs(float(w[-1])))
-    return float(w[-1]) <= 64.0 * EPS * scale
+    form = _symmetric_kronecker_form(pp)
+    m = form.shape[0]
+    step = max(1, _BLOCK_ENTRIES // m)
+    norm = max(
+        float(np.abs(form[start : start + step]).sum(axis=1).max())
+        for start in range(0, m, step)
+    )
+    if norm == 0.0:
+        return True
+    # delta*I - K in place; its transpose is Fortran-ordered, so LAPACK
+    # factors it without a copy, and as the conjugate of a Hermitian matrix
+    # it is positive definite exactly when delta*I - K is
+    form *= -1.0
+    form.reshape(-1)[:: m + 1] += KRONECKER_SHIFT * norm
+    _, info = scipy.linalg.lapack.zpotrf(form.T, lower=0, overwrite_a=1, clean=0)
+    return info == 0
 
 
 def _forms_share_sign(k1, k2, n1: float, n2: float) -> bool:

@@ -25,6 +25,7 @@ from pencillab.dh import (
 )
 from pencillab.kcf import kronecker_structure, structures_match
 from pencillab.localization import (
+    KRONECKER_SIZE_CAP,
     _positive_real_eigenpairs,
     eejjx_by_kronecker,
     eejjx_by_norms,
@@ -410,3 +411,19 @@ def test_criterion_13_provers_never_contradicted():
             assert witness is None, f"instance {k}: prover contradicted"
     assert proved >= 10
     assert time.perf_counter() - t0 < 60.0
+
+
+def test_kronecker_prover_proves_at_the_size_cap():
+    # the benchmark's kronecker family: J_k = i K_k with K_k PSD makes
+    # J1 (x) J2 - R1 (x) R2 negative semidefinite, and rank-deficient R's
+    # defeat the norm bound
+    rng = np.random.default_rng(6_400)
+    n = KRONECKER_SIZE_CAP
+    pp = PoshPencil(
+        1j * random_psd_matrix(rng, n), random_psd_matrix(rng, n, rank=n // 2),
+        1j * random_psd_matrix(rng, n), random_psd_matrix(rng, n, rank=n // 2),
+    )
+    assert not eejjx_by_norms(pp)
+    t0 = time.perf_counter()
+    assert eejjx_by_kronecker(pp)
+    assert time.perf_counter() - t0 < 5.0

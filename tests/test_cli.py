@@ -261,3 +261,43 @@ def test_report_on_polynomial(mgt_poly, tmp_path, capsys):
     assert doc["results"]["polynomial_index"]["computed"] == 0
     assert doc["results"]["cubic_stability"]["conclusion"] == "lhp_certified"
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            {"coefficients": [[[[1, 0]]], [[[1, "x"]]]]},
+            "coefficients[1][0][0]: expected a [re, im] pair, got [1, 'x']",
+        ),
+        (
+            {"degree": 3, "coefficients": [[[[1, 0]]], [[[1, 0]]]]},
+            "declared degree 3 but found 1",
+        ),
+    ],
+)
+def test_report_names_the_fault_of_a_broken_polynomial(doc, message, tmp_path, capsys):
+    path = tmp_path / "broken.poly.json"
+    path.write_text(json.dumps(doc))
+    for command in ("report", "polystab"):
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert message in err, command
+        assert "lead/const" not in err
+
+
+def test_report_decodes_a_pencil_file_once(dissipative_posh, tmp_path, monkeypatch, capsys):
+    decoded = []
+    loads = json.loads
+
+    def counting_loads(text, *args, **kwargs):
+        decoded.append(text)
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting_loads)
+    out = tmp_path / "rep.json"
+    assert main(["report", dissipative_posh, "--samples", "50", "--out", str(out)]) == 0
+    assert len(decoded) == 1
+    monkeypatch.undo()
+    assert json.loads(out.read_text())["fingerprint"]["kind"] == "posh_pencil"
+    capsys.readouterr()

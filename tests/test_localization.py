@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from pencillab.core import EPS, PoshPencil
 from pencillab.errors import PreconditionError
 from pencillab.localization import (
+    KRONECKER_SIZE_CAP,
     _random_phase,
     _symmetric_kronecker_form,
     eejjx_by_kronecker,
@@ -18,7 +20,12 @@ from pencillab.localization import (
     regularity_conditions_report,
     sector_membership,
 )
-from pencillab.oracles import named_example, random_posh_pencil
+from pencillab.oracles import (
+    named_example,
+    random_posh_pencil,
+    random_psd_matrix,
+    random_skew_matrix,
+)
 
 
 def strongly_damped(n, scale=3.0):
@@ -118,6 +125,84 @@ def test_kronecker_prover_on_the_symmetric_subspace_proves_more():
     assert cert.eejjx_status == "proved_by_kronecker"
     assert cert.conclusion == "numrange_in_lhp"
     assert eejjx_falsify(pp, 10_000, 69) is None
+
+
+def test_kronecker_prover_proves_a_zero_form():
+    # a Cholesky of the zero matrix fails, so K = 0 is accepted by its norm
+    zero = np.zeros((3, 3))
+    for pp in (
+        PoshPencil(zero, zero, zero, zero),
+        PoshPencil(zero, zero, zero, np.eye(3)),
+    ):
+        assert not np.any(_symmetric_kronecker_form(pp))
+        assert eejjx_by_kronecker(pp)
+
+
+def _reference_kronecker_rule(pp):
+    """The eigenvalue rule the Cholesky test replaced: lambda_max <= 64*eps*max|lambda|."""
+    if pp.n == 0:
+        return True
+    w = np.linalg.eigvalsh(_symmetric_kronecker_form(pp))
+    return bool(w[-1] <= 64.0 * EPS * max(abs(w[0]), abs(w[-1])))
+
+
+def _rank_deficient_psd(rng, n):
+    return random_psd_matrix(rng, n, rank=int(rng.integers(0, n)))
+
+
+def test_kronecker_cholesky_rule_agrees_with_the_eigenvalue_rule():
+    cases = [(f"criterion 13 #{k}", _criterion_13_pencil(k)) for k in range(200)]
+    empty = np.zeros((0, 0))
+    cases.append(("n = 0", PoshPencil(empty, empty, empty, empty)))
+    for k in range(60):
+        rng = np.random.default_rng([4_100, k])
+        n = 1 + k % 8
+        # J1 = 0: K = -R1 (x) R2 is negative semidefinite with a kernel
+        cases.append((
+            f"J1 = 0 #{k}",
+            PoshPencil(
+                np.zeros((n, n)), _rank_deficient_psd(rng, n),
+                random_skew_matrix(rng, n), _rank_deficient_psd(rng, n),
+            ),
+        ))
+        # J_k = i K_k, K_k PSD: K = -K1 (x) K2 - R1 (x) R2, semidefinite too
+        cases.append((
+            f"J = iK #{k}",
+            PoshPencil(
+                1j * _rank_deficient_psd(rng, n), _rank_deficient_psd(rng, n),
+                1j * _rank_deficient_psd(rng, n), _rank_deficient_psd(rng, n),
+            ),
+        ))
+    rng = np.random.default_rng(4_164)
+    n = KRONECKER_SIZE_CAP
+    cases.append((
+        "J = iK at the cap",
+        PoshPencil(
+            1j * random_psd_matrix(rng, n, rank=n // 2), random_psd_matrix(rng, n, rank=n // 2),
+            1j * random_psd_matrix(rng, n, rank=n // 2), random_psd_matrix(rng, n, rank=n // 2),
+        ),
+    ))
+    assert any(pp.n == 1 for _, pp in cases)
+    verdicts = set()
+    for label, pp in cases:
+        expected = _reference_kronecker_rule(pp)
+        assert eejjx_by_kronecker(pp) == expected, label
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def test_kronecker_prover_runs_no_eigensolver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolver called")
+
+    damped, unstable = strongly_damped(5), named_example("ex_unstable")
+    for module, name in (
+        (np.linalg, "eigvalsh"), (np.linalg, "eigh"), (np.linalg, "eigvals"),
+        (scipy.linalg, "eigh"), (scipy.linalg, "eigvalsh"), (scipy.linalg, "eig"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+    assert eejjx_by_kronecker(damped)
+    assert not eejjx_by_kronecker(unstable)
 
 
 def test_certificate_gate_matches_provers_then_falsifier():
