@@ -11,16 +11,12 @@ __version__ = "0.1.0"
 
 from .core import (
     EPS,
-    AtInfinity,
     DhPencil,
     Pencil,
     PoshPencil,
-    finite_eigenvalues,
-    generalized_eigenvalues,
     hermitian_split,
     is_positive_definite,
     posh_from_parts,
-    probe_regular,
     psd_slack,
     reversal,
     smallest_hermitian_eigenvalue,
@@ -88,16 +84,12 @@ from .numrange import (
 __all__ = [
     "__version__",
     "EPS",
-    "AtInfinity",
     "DhPencil",
     "Pencil",
     "PoshPencil",
-    "finite_eigenvalues",
-    "generalized_eigenvalues",
     "hermitian_split",
     "is_positive_definite",
     "posh_from_parts",
-    "probe_regular",
     "psd_slack",
     "reversal",
     "smallest_hermitian_eigenvalue",

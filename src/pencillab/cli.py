@@ -36,7 +36,6 @@ from .errors import (
 from .fileio import (
     atomic_write_text,
     complex_to_json,
-    file_sha256,
     float_to_json,
     load_json_document,
     load_pencil_file,
@@ -103,8 +102,8 @@ def _as_pencil(obj) -> Pencil:
     return obj.pencil() if isinstance(obj, PoshPencil) else obj
 
 
-def _fingerprint(path: str, obj) -> dict:
-    fp = {"file": path, "sha256": file_sha256(path)}
+def _fingerprint(path: str, digest: str, obj) -> dict:
+    fp = {"file": path, "sha256": digest}
     if isinstance(obj, PoshPencil):
         fp["kind"] = "posh_pencil"
         fp["n"] = int(obj.j1.shape[0])
@@ -126,9 +125,9 @@ def _fingerprint(path: str, obj) -> dict:
     return fp
 
 
-def _report(path, obj, analyses: dict, seed=None, tolerances=None) -> dict:
+def _report(path, digest, obj, analyses: dict, seed=None, tolerances=None) -> dict:
     out = {
-        "fingerprint": _fingerprint(path, obj),
+        "fingerprint": _fingerprint(path, digest, obj),
         "requested": sorted(analyses),
         "results": analyses,
         "tool_version": __version__,
@@ -235,12 +234,13 @@ def _dh_verdict_json(verdict) -> dict:
 
 
 def cmd_validate(args) -> int:
-    obj = load_pencil_file(args.file)
+    obj, digest = load_pencil_file(args.file)
     pp = _as_posh(obj)
     n = pp.j1.shape[0]
     print(f"posH pencil of size {n}: valid")
     rep = _report(
         args.file,
+        digest,
         pp,
         {
             "validate": {
@@ -258,14 +258,14 @@ def cmd_validate(args) -> int:
 
 
 def cmd_kcf(args) -> int:
-    obj = load_pencil_file(args.file)
+    obj, digest = load_pencil_file(args.file)
     ks = kronecker_structure(_as_pencil(obj))
-    _emit(args, _report(args.file, obj, {"kcf": _structure_json(ks)}))
+    _emit(args, _report(args.file, digest, obj, {"kcf": _structure_json(ks)}))
     return EXIT_OK
 
 
 def cmd_dh_check(args) -> int:
-    obj = load_pencil_file(args.file)
+    obj, digest = load_pencil_file(args.file)
     ks = kronecker_structure(_as_pencil(obj))
     verdict = check_dh_equivalence(ks, args.variant)
     if verdict.holds:
@@ -277,6 +277,7 @@ def cmd_dh_check(args) -> int:
         )
     rep = _report(
         args.file,
+        digest,
         obj,
         {"kcf": _structure_json(ks), "dh_check": _dh_verdict_json(verdict)},
     )
@@ -285,7 +286,7 @@ def cmd_dh_check(args) -> int:
 
 
 def cmd_dh_realize(args) -> int:
-    obj = load_pencil_file(args.file)
+    obj, _ = load_pencil_file(args.file)
     ks = kronecker_structure(_as_pencil(obj))
     dh = realize_dh(ks, args.variant)
     doc = {
@@ -306,7 +307,7 @@ def cmd_dh_realize(args) -> int:
 
 
 def cmd_numrange(args) -> int:
-    obj = load_pencil_file(args.file)
+    obj, _ = load_pencil_file(args.file)
     pp = _as_posh(obj)
     seed = _resolve_seed(args)
     sample = sample_numerical_range(pp.pencil(), args.samples, seed)
@@ -333,7 +334,7 @@ def cmd_numrange(args) -> int:
 
 
 def cmd_beta(args) -> int:
-    obj = load_pencil_file(args.file)
+    obj, digest = load_pencil_file(args.file)
     pp = _as_posh(obj)
     if args.scale is not None:
         bt = beta_thresholds_scaled(pp, args.scale)
@@ -345,12 +346,12 @@ def cmd_beta(args) -> int:
         f"lower_bound={payload['lower_bound']}"
         + (f" strip_bound={payload['strip_bound']}" if "strip_bound" in payload else "")
     )
-    _emit(args, _report(args.file, pp, {"beta": payload})) if args.out else None
+    _emit(args, _report(args.file, digest, pp, {"beta": payload})) if args.out else None
     return EXIT_OK
 
 
 def cmd_certify(args) -> int:
-    obj = load_pencil_file(args.file)
+    obj, digest = load_pencil_file(args.file)
     pp = _as_posh(obj)
     seed = _resolve_seed(args)
     cert = lhp_certificate(pp, falsify_budget=args.budget, seed=seed)
@@ -359,14 +360,14 @@ def cmd_certify(args) -> int:
         f"conclusion: {cert.conclusion} ({cert.evidence})"
     )
     rep = _report(
-        args.file, pp, {"certify": _certificate_json(cert)}, seed=seed
+        args.file, digest, pp, {"certify": _certificate_json(cert)}, seed=seed
     )
     _emit(args, rep) if args.out else None
     return EXIT_OK
 
 
 def cmd_eig(args) -> int:
-    obj = load_pencil_file(args.file)
+    obj, digest = load_pencil_file(args.file)
     ks = kronecker_structure(_as_pencil(obj))
     lines = []
     for lam, mults in ks.finite_eigenstructure:
@@ -381,7 +382,8 @@ def cmd_eig(args) -> int:
             f"singular pencil: right minimal {list(ks.right_minimal_indices)}, "
             f"left minimal {list(ks.left_minimal_indices)}"
         )
-    _emit(args, _report(args.file, obj, {"kcf": _structure_json(ks)})) if args.out else None
+    if args.out:
+        _emit(args, _report(args.file, digest, obj, {"kcf": _structure_json(ks)}))
     return EXIT_OK
 
 
@@ -407,7 +409,7 @@ def _detect_mgt(poly: MatrixPolynomial):
 
 
 def cmd_polystab(args) -> int:
-    poly = load_polynomial_file(args.file)
+    poly, digest = load_polynomial_file(args.file)
     if poly.degree != 3:
         raise PreconditionError(
             f"stability certificates cover degree 3, got degree {poly.degree}; "
@@ -429,12 +431,12 @@ def cmd_polystab(args) -> int:
             "evidence": "exact",
         }
     print(f"conclusion: {rep.conclusion}" + (f"; mgt verdict: {results['mgt']['verdict']}" if mgt else ""))
-    _emit(args, _report(args.file, poly, results)) if args.out else None
+    _emit(args, _report(args.file, digest, poly, results)) if args.out else None
     return EXIT_OK
 
 
 def cmd_lin(args) -> int:
-    poly = load_polynomial_file(args.file)
+    poly, _ = load_polynomial_file(args.file)
     form = args.form
     if form == "auto":
         form = "odd" if poly.degree % 2 == 1 else "even"
@@ -459,7 +461,7 @@ def cmd_lin(args) -> int:
 
 def cmd_report(args) -> int:
     seed = _resolve_seed(args)
-    doc = load_json_document(args.file)
+    doc, digest = load_json_document(args.file)
     if "coefficients" in doc:
         poly = polynomial_from_document(doc, args.file)
         results = {}
@@ -471,7 +473,7 @@ def cmd_report(args) -> int:
         }
         if poly.degree == 3:
             results["cubic_stability"] = _cubic_json(cubic_stability(poly))
-        rep = _report(args.file, poly, results, seed=seed)
+        rep = _report(args.file, digest, poly, results, seed=seed)
         _emit(args, rep)
         return EXIT_OK
 
@@ -499,16 +501,13 @@ def cmd_report(args) -> int:
                 max(z.real for z in sample.points) if sample.points else None
             ),
         }
-        cert = lhp_certificate(pp, falsify_budget=args.samples, seed=seed)
+        # both read only ks.regular, which the splitting and the convention keep
+        cert = lhp_certificate(pp, falsify_budget=args.samples, seed=seed, structure=ks)
         results["certify"] = _certificate_json(cert)
-        # ks is the structure of pp.pencil() when the file holds the posH parts
-        results["nocommon_chain"] = _chain_json(
-            nocommon_chain_report(
-                pp, structure=ks if isinstance(obj, PoshPencil) else None
-            )
-        )
+        results["nocommon_chain"] = _chain_json(nocommon_chain_report(pp, structure=ks))
     rep = _report(
         args.file,
+        digest,
         obj,
         results,
         seed=seed,

@@ -13,13 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionError,
     PoshValidationError,
     PreconditionError,
-    SingularPencilError,
 )
 
 EPS = float(np.finfo(np.float64).eps)
@@ -31,37 +29,9 @@ AXIS_TOL = 1e-8
 # Relative departure from exact (skew-)Hermitian structure that is projected
 # away rather than rejected.
 STRUCTURE_DRIFT_TOL = 1e-10
-# A homogeneous eigenvalue (alpha, beta) is infinite when
-# |beta| <= INFINITE_EIGENVALUE_TOL*(|alpha| + |beta|).
-INFINITE_EIGENVALUE_TOL = 1e-10
-# probe_regular evaluates the pencil at this many random points, drawn from
-# a fixed seed.
-REGULARITY_PROBES = 3
 
 PLUS = "plus"
 MINUS = "minus"
-
-
-class AtInfinity:
-    """Tag for the eigenvalue at infinity.
-
-    Compares equal to any other instance and never to a number, so eigenvalue
-    lists can be filtered with ``isinstance`` or plain ``==``.
-    """
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "INFINITY"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, AtInfinity)
-
-    def __hash__(self) -> int:
-        return hash(AtInfinity)
-
-
-INFINITY = AtInfinity()
 
 
 def as_complex_matrix(value, name: str = "matrix", square: bool = False) -> np.ndarray:
@@ -354,69 +324,3 @@ def posh_from_parts(j1, r1, j2, r2) -> PoshPencil:
         structured_part(j2, "j2", skew=True),
         structured_part(r2, "r2"),
     )
-
-
-def probe_regular(p: Pencil) -> bool:
-    """Random-shift regularity probe.
-
-    Evaluates the pencil at random points of the unit disk scaled to the
-    coefficient norm ratio; a regular pencil is rank-deficient at only
-    finitely many points, so any full-rank hit certifies regularity. All
-    probes deficient is read as singular.
-    """
-    if not p.is_square:
-        return False
-    n = p.shape[0]
-    if n == 0:
-        return True
-    m = p.to_minus()
-    scale = (spectral_norm(m.constant) + EPS) / (spectral_norm(m.lead) + EPS)
-    rng = np.random.default_rng(0)
-    for _ in range(REGULARITY_PROBES):
-        radius = np.sqrt(rng.uniform(0.25, 1.0))
-        angle = rng.uniform(0.0, 2.0 * np.pi)
-        z = scale * radius * np.exp(1j * angle)
-        mat = m.value_at(z)
-        sv = np.linalg.svd(mat, compute_uv=False)
-        if sv[0] == 0.0:
-            continue
-        cutoff = 16.0 * n * EPS * sv[0]
-        if sv[-1] > cutoff:
-            return True
-    return False
-
-
-def generalized_eigenvalues(p: Pencil) -> list:
-    """All n eigenvalues of a square regular pencil, infinity included.
-
-    Finite values are sorted by real then imaginary part; infinite entries
-    come last as the AtInfinity tag. A pencil failing the regularity probe
-    is rejected.
-    """
-    if not p.is_square:
-        raise DimensionError(f"pencil must be square, got shape {p.shape}")
-    if not probe_regular(p):
-        raise SingularPencilError(
-            f"pencil is singular: rank deficient at {REGULARITY_PROBES} random shifts"
-        )
-    m = p.to_minus()
-    n = m.shape[0]
-    if n == 0:
-        return []
-    w = scipy.linalg.eig(
-        m.constant, m.lead, right=False, homogeneous_eigvals=True
-    )
-    alpha, beta = np.asarray(w[0]), np.asarray(w[1])
-    finite = []
-    infinite = 0
-    for a, b in zip(alpha, beta):
-        if abs(b) <= INFINITE_EIGENVALUE_TOL * (abs(a) + abs(b)):
-            infinite += 1
-        else:
-            finite.append(complex(a / b))
-    finite.sort(key=lambda z: (z.real, z.imag))
-    return finite + [INFINITY] * infinite
-
-
-def finite_eigenvalues(p: Pencil) -> list[complex]:
-    return [z for z in generalized_eigenvalues(p) if not isinstance(z, AtInfinity)]

@@ -19,8 +19,12 @@ from .matpoly import MatrixPolynomial
 from .numrange import PacmanRegion
 
 
-def load_json_document(path: str) -> dict:
-    """Parse a JSON file, annotating syntax errors with their position."""
+def load_json_document(path: str) -> tuple[dict, str]:
+    """Parse a JSON file, annotating syntax errors with their position.
+
+    Returns the document and the sha256 hex digest of the bytes it was
+    decoded from, so the file is read once.
+    """
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -36,12 +40,7 @@ def load_json_document(path: str) -> dict:
         ) from err
     if not isinstance(doc, dict):
         raise InputFormatError(f"{path}: top-level value must be an object")
-    return doc
-
-
-def file_sha256(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+    return doc, hashlib.sha256(raw).hexdigest()
 
 
 def _parse_complex(value, where: str) -> complex:
@@ -98,9 +97,10 @@ def matrix_to_json(mat) -> list:
     ]
 
 
-def load_pencil_file(path: str):
-    """Load a pencil document: returns a PoshPencil or a plain Pencil."""
-    return pencil_from_document(load_json_document(path), path)
+def load_pencil_file(path: str) -> tuple:
+    """Load a pencil document: a PoshPencil or a plain Pencil, and the file's sha256."""
+    doc, digest = load_json_document(path)
+    return pencil_from_document(doc, path), digest
 
 
 def pencil_from_document(doc: dict, path: str):
@@ -134,8 +134,10 @@ def pencil_from_document(doc: dict, path: str):
     )
 
 
-def load_polynomial_file(path: str) -> MatrixPolynomial:
-    return polynomial_from_document(load_json_document(path), path)
+def load_polynomial_file(path: str) -> tuple[MatrixPolynomial, str]:
+    """Load a polynomial document: the MatrixPolynomial and the file's sha256."""
+    doc, digest = load_json_document(path)
+    return polynomial_from_document(doc, path), digest
 
 
 def polynomial_from_document(doc: dict, path: str) -> MatrixPolynomial:

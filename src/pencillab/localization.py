@@ -29,13 +29,12 @@ from .core import (
     PLUS,
     Pencil,
     PoshPencil,
-    probe_regular,
     quadratic_forms,
     smallest_hermitian_eigenvalue,
     spectral_norm,
 )
 from .errors import PreconditionError, RankAmbiguityError
-from .kcf import kronecker_structure
+from .kcf import KroneckerStructure, kronecker_structure
 from .numrange import _kernel_verdicts, common_kernel
 
 QUADFORM_TOL = 1e-10
@@ -296,20 +295,6 @@ def eejjx_falsify(pp: PoshPencil, budget: int = 2000, seed: int = 0):
     return witness if witness is not None else ascend()
 
 
-def eejjx_real_form(pp: PoshPencil, budget: int = 2000, seed: int = 0):
-    """Falsifier for real data, returning the witness as a real pair (xi, eta).
-
-    For real coefficients, x = xi + i*eta turns the condition's value into
-    -4*(xi'J1 eta)*(xi'J2 eta) - (xi'R1 xi + eta'R1 eta)*(xi'R2 xi + eta'R2 eta),
-    so a search over real pairs on the unit sphere is the complex search of
-    eejjx_falsify, which runs it.
-    """
-    if not pp.is_real:
-        raise PreconditionError("real-form falsifier needs real matrices")
-    x = eejjx_falsify(pp, budget, seed)
-    return None if x is None else (x.real.copy(), x.imag.copy())
-
-
 @dataclass(frozen=True)
 class LhpCertificate:
     """Outcome of the left-half-plane certification pipeline.
@@ -343,6 +328,7 @@ def lhp_certificate(
     pp: PoshPencil,
     falsify_budget: int = 2000,
     seed: int = 0,
+    structure: KroneckerStructure | None = None,
 ) -> LhpCertificate:
     """Run the provers and hypothesis routes on one pencil.
 
@@ -359,6 +345,10 @@ def lhp_certificate(
     through lambda*J1+J2 (eigenvalues localized); or the skew numerical
     range in the closed left half plane, which holds exactly when the forms
     of -iJ1 and -iJ2 never take opposite signs (numerical range localized).
+    The last two routes need a regular pencil.  Regularity is read from
+    structure, a Kronecker structure of the pencil in either convention,
+    computed here when not given; an extraction that refuses leaves the
+    route at none.
     """
     notes = []
     status = None
@@ -396,10 +386,13 @@ def lhp_certificate(
             status, "no_isotropic", "numrange_in_lhp", "exact", None, tuple(notes)
         )
 
-    p = pp.pencil()
-    p_regular = probe_regular(p)
-    if p_regular:
-        notes.append("regularity of the pencil established by randomized probe")
+    if structure is None:
+        try:
+            structure = kronecker_structure(pp.pencil())
+        except RankAmbiguityError as exc:
+            notes.append(f"regularity of the pencil undecided: {exc}")
+    if structure is not None and structure.regular:
+        notes.append("pencil regular by its Kronecker structure")
         try:
             ks = kronecker_structure(Pencil(pp.j1, pp.j2, PLUS))
         except RankAmbiguityError as exc:
@@ -473,11 +466,7 @@ class RegularityConditionsReport:
 
 
 def _pencil_regular(lead, const) -> bool:
-    p = Pencil(lead, const, PLUS)
-    try:
-        return kronecker_structure(p).regular
-    except RankAmbiguityError:
-        return probe_regular(p)
+    return kronecker_structure(Pencil(lead, const, PLUS)).regular
 
 
 def _positive_real_eigenpairs(pp: PoshPencil):
@@ -505,7 +494,8 @@ def regularity_conditions_report(pp: PoshPencil) -> RegularityConditionsReport:
     Hypotheses are regularity statements about the four half pencils;
     conclusions are re-verified on the instance where computable
     (verified None means the hypothesis does not apply or the check was
-    not computable).
+    not computable).  Every regularity is read from a Kronecker structure,
+    so an ambiguous rank decision raises RankAmbiguityError.
     """
     p_regular = _pencil_regular(pp.j1 + pp.r1, pp.j2 + pp.r2)
     rr = _pencil_regular(pp.r1, pp.r2)

@@ -23,7 +23,6 @@ from .core import (
     PoshPencil,
     as_complex_matrix,
     is_positive_definite,
-    probe_regular,
     psd_slack,
     quadratic_forms,
     smallest_hermitian_eigenvalue,
@@ -346,8 +345,6 @@ class NocommonChainReport:
     notes: tuple = field(default_factory=tuple)
 
 
-_EVIDENCE_RANK = {"exact": 2, "sampled": 1, "none": 0}
-
 # a kernel rank gap below this factor makes every verdict on W a close call
 KERNEL_GAP_MIN = 8.0
 # support points the isotropic-vector search adds before it gives up
@@ -541,10 +538,11 @@ def nocommon_chain_report(
 
     (a), (b) and (d) are exact tests on W = ker R1 n ker R2.  (c) has no
     test of its own: it comes from the implications alone, so it is None
-    when (b) is false and (d) is true.  (e) reads the Kronecker structure,
-    given as structure or computed, and only when that is ambiguous falls
-    back to a randomized probe, labelled sampled.  The implications are then
-    closed off, with exact evidence overriding sampled evidence.
+    when (b) is false and (d) is true.  (e) reads the regularity of the
+    Kronecker structure of the pencil, in either convention, given as
+    structure or computed; when the extraction refuses, (e) stays open.
+    The implications then fill open verdicts, and a conflict between two
+    decided verdicts is noted.
     """
     notes = []
     real_case = pp.is_real
@@ -556,9 +554,7 @@ def nocommon_chain_report(
             structure = kronecker_structure(pp.pencil())
         e = ChainVerdict(structure.regular, "exact", "Kronecker structure")
     except RankAmbiguityError as exc:
-        e = ChainVerdict(
-            probe_regular(pp.pencil()), "sampled", f"rank ambiguity: {exc}"
-        )
+        e = ChainVerdict(None, "none", f"rank ambiguity: {exc}")
 
     verdicts = [a, b, c, d, e]
     if real_case:
@@ -572,20 +568,16 @@ def nocommon_chain_report(
 
     def force(idx, val, src_idx):
         cur, src = verdicts[idx], verdicts[src_idx]
-        detail = f"implied by ({labels[src_idx]})"
-        stronger = _EVIDENCE_RANK[src.evidence] > _EVIDENCE_RANK[cur.evidence]
-        if cur.value is not None and cur.value != val:
+        if cur.value is None:
+            verdicts[idx] = ChainVerdict(val, src.evidence, f"implied by ({labels[src_idx]})")
+            return True
+        if cur.value != val:
             msg = (
-                f"({labels[idx]}) {cur.evidence} verdict {cur.value} overridden: {detail}"
-                if stronger
-                else f"conflict: ({labels[src_idx]}) implies ({labels[idx]})={val} "
+                f"conflict: ({labels[src_idx]}) implies ({labels[idx]})={val} "
                 f"but kept {cur.value}"
             )
             if msg not in notes:
                 notes.append(msg)
-        if cur.value is None or stronger:
-            verdicts[idx] = ChainVerdict(val, src.evidence, detail)
-            return True
         return False
 
     for _ in range(16):

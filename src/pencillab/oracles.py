@@ -2,15 +2,16 @@
 
 Everything here is deliberately naive: canonical-block assembly with a
 recorded ground truth, a Routh table for scalar polynomials, determinant
-roots by evaluation and interpolation, the named example pencils, and
-seeded random generators.  None of it reuses the extraction code it is
-meant to check.
+roots by evaluation and interpolation, pencil eigenvalues by plain QZ, the
+named example pencils, and seeded random generators.  None of it reuses
+the extraction code it is meant to check.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .core import MINUS, Pencil, PoshPencil, as_complex_matrix, spectral_norm
 from .errors import (
@@ -272,6 +273,23 @@ def scalarized_roots(p, radius: float = 1.0) -> list:
     while k > 0 and mags[k] <= 1e-10 * top:
         k -= 1
     return [complex(z) for z in np.roots(b[: k + 1][::-1])]
+
+
+def finite_eigenvalues(p: Pencil) -> list[complex]:
+    """Finite eigenvalues of a square regular pencil by QZ, sorted by (re, im).
+
+    A homogeneous eigenvalue (alpha, beta) counts as infinite, and is
+    dropped, when |beta| <= 1e-10*(|alpha| + |beta|).  Regularity is
+    assumed, not checked.
+    """
+    m = p.to_minus()
+    if m.shape[0] == 0:
+        return []
+    alpha, beta = scipy.linalg.eig(m.constant, m.lead, right=False, homogeneous_eigvals=True)
+    finite = [
+        complex(a / b) for a, b in zip(alpha, beta) if abs(b) > 1e-10 * (abs(a) + abs(b))
+    ]
+    return sorted(finite, key=lambda z: (z.real, z.imag))
 
 
 def named_example(name: str, *args):

@@ -13,7 +13,6 @@ import numpy as np
 from pencillab.core import (
     Pencil,
     PoshPencil,
-    finite_eigenvalues,
     posh_from_parts,
     spectral_norm,
 )
@@ -51,6 +50,7 @@ from pencillab.numrange import (
 from pencillab.oracles import (
     BlockSpec,
     assemble_pencil,
+    finite_eigenvalues,
     named_example,
     random_admissible_structure,
     random_posh_pencil,

@@ -1,8 +1,11 @@
+import builtins
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from pencillab import cli, kcf, localization, numrange
 from pencillab.cli import main
 from pencillab.matpoly import mgt_polynomial
 from pencillab.oracles import named_example, random_posh_pencil
@@ -301,3 +304,40 @@ def test_report_decodes_a_pencil_file_once(dissipative_posh, tmp_path, monkeypat
     monkeypatch.undo()
     assert json.loads(out.read_text())["fingerprint"]["kind"] == "posh_pencil"
     capsys.readouterr()
+
+
+def test_report_reads_its_input_once(unstable_pencil, tmp_path, monkeypatch, capsys):
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    out = tmp_path / "rep.json"
+    assert main(["report", unstable_pencil, "--samples", "50", "--out", str(out)]) == 0
+    monkeypatch.undo()
+    assert opened.count(unstable_pencil) == 1
+    with open(unstable_pencil, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    assert json.loads(out.read_text())["fingerprint"]["sha256"] == digest
+    capsys.readouterr()
+
+
+def test_report_extracts_one_structure_from_a_plain_file(unstable_pencil, monkeypatch, capsys):
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return kcf.kronecker_structure(p)
+
+    for module in (cli, numrange, localization):
+        monkeypatch.setattr(module, "kronecker_structure", counting)
+    assert main(["report", unstable_pencil, "--samples", "50"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["fingerprint"]["kind"] == "pencil"
+    # the certificate is falsified, so its skew-structure route never runs
+    assert doc["results"]["certify"]["eejjx_status"] == "falsified"
+    assert doc["results"]["nocommon_chain"]["pencil_regular"]["detail"] == "Kronecker structure"
+    assert len(calls) == 1

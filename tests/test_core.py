@@ -2,16 +2,12 @@ import numpy as np
 import pytest
 
 from pencillab.core import (
-    AtInfinity,
     DhPencil,
     Pencil,
     PoshPencil,
-    finite_eigenvalues,
-    generalized_eigenvalues,
     hermitian_split,
     is_positive_definite,
     posh_from_parts,
-    probe_regular,
     quadratic_forms,
     reversal,
     spectral_norm,
@@ -21,8 +17,8 @@ from pencillab.errors import (
     DimensionError,
     PoshValidationError,
     PreconditionError,
-    SingularPencilError,
 )
+from pencillab.oracles import finite_eigenvalues
 
 
 def test_pencil_conventions():
@@ -117,30 +113,6 @@ def test_posh_from_parts_projects_noise():
     assert np.allclose(pp.j1.conj().T, -pp.j1)
     with pytest.raises(PreconditionError):
         posh_from_parts(j + 1e-3 * np.eye(2), r, j, r)
-
-
-def test_probe_regular():
-    assert probe_regular(Pencil(np.eye(2), np.zeros((2, 2))))
-    # lambda*E - A with common kernel: singular
-    e = np.diag([1.0, 0.0])
-    a = np.diag([1.0, 0.0])
-    assert not probe_regular(Pencil(e, a, "minus"))
-
-
-def test_generalized_eigenvalues_with_infinity():
-    # minus convention lambda*diag(1,0) - diag(2,1): eigenvalues 2, inf
-    p = Pencil(np.diag([1.0, 0.0]), np.diag([2.0, 1.0]), "minus")
-    ev = generalized_eigenvalues(p)
-    assert len(ev) == 2
-    assert abs(ev[0] - 2.0) < 1e-12
-    assert isinstance(ev[1], AtInfinity)
-    assert finite_eigenvalues(p) == [ev[0]]
-
-
-def test_generalized_eigenvalues_rejects_singular():
-    e = np.diag([1.0, 0.0])
-    with pytest.raises(SingularPencilError):
-        generalized_eigenvalues(Pencil(e, e, "minus"))
 
 
 def test_dh_pencil_structure_checks():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -9,7 +10,6 @@ from pencillab.core import Pencil, PoshPencil
 from pencillab.errors import InputFormatError
 from pencillab.fileio import (
     atomic_write_text,
-    file_sha256,
     load_pencil_file,
     load_polynomial_file,
     matrix_to_json,
@@ -114,7 +114,10 @@ def test_load_pencil_file_plain(tmp_path):
         "lead": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
         "const": [[[0, 0], [1, 0]], [[-1, 0], [0, 0]]],
     }
-    p = load_pencil_file(write(tmp_path, "p.json", doc))
+    path = write(tmp_path, "p.json", doc)
+    p, digest = load_pencil_file(path)
+    with open(path, "rb") as fh:
+        assert digest == hashlib.sha256(fh.read()).hexdigest()
     assert isinstance(p, Pencil)
     assert p.convention == "plus"
     assert np.allclose(p.lead, np.eye(2))
@@ -127,7 +130,7 @@ def test_load_pencil_file_posh(tmp_path):
         "j2": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]],
         "r2": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
     }
-    pp = load_pencil_file(write(tmp_path, "pp.json", doc))
+    pp, _ = load_pencil_file(write(tmp_path, "pp.json", doc))
     assert isinstance(pp, PoshPencil)
     assert pp.n == 2
 
@@ -161,7 +164,7 @@ def test_load_polynomial_file(tmp_path):
         "degree": 2,
         "coefficients": [[[[1, 0]]], [[[0, 0]]], [[[1, 0]]]],
     }
-    p = load_polynomial_file(write(tmp_path, "q.json", doc))
+    p, _ = load_polynomial_file(write(tmp_path, "q.json", doc))
     assert p.degree == 2
     with pytest.raises(InputFormatError, match="degree"):
         load_polynomial_file(
@@ -182,10 +185,9 @@ def test_atomic_write_and_hash(tmp_path):
     # no temp files left behind
     leftovers = [f for f in os.listdir(tmp_path) if f.startswith(".pencillab-")]
     assert leftovers == []
-    h1 = file_sha256(str(target))
-    assert len(h1) == 64
+    h1 = hashlib.sha256(target.read_bytes()).hexdigest()
     atomic_write_text(str(target), "replaced\n")
-    assert file_sha256(str(target)) == h1
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == h1
 
 
 def test_points_csv_format():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from pencillab import localization
 from pencillab.core import EPS, PoshPencil
-from pencillab.errors import PreconditionError
+from pencillab.errors import PreconditionError, RankAmbiguityError
 from pencillab.localization import (
     KRONECKER_SIZE_CAP,
     _random_phase,
@@ -14,13 +15,13 @@ from pencillab.localization import (
     eejjx_by_norms,
     eejjx_by_spectral,
     eejjx_falsify,
-    eejjx_real_form,
     eejjx_value,
     lhp_certificate,
     regularity_conditions_report,
     sector_membership,
 )
 from pencillab.oracles import (
+    finite_eigenvalues,
     named_example,
     random_posh_pencil,
     random_psd_matrix,
@@ -238,22 +239,6 @@ def test_certificate_gate_matches_provers_then_falsifier():
     assert witness_phases == {"random", "ascent"}
 
 
-def test_real_form_falsifier_requires_real_data():
-    pp = PoshPencil(
-        np.array([[1j]]), np.zeros((1, 1)), np.array([[-1j]]), np.eye(1)
-    )
-    with pytest.raises(PreconditionError):
-        eejjx_real_form(pp, budget=10, seed=0)
-
-
-def test_real_form_witness_maps_to_complex_violation():
-    pp = named_example("ex_unstable")
-    witness = eejjx_real_form(pp, budget=4000, seed=2)
-    assert witness is not None
-    xi, eta = witness
-    assert eejjx_value(pp, xi + 1j * eta) > 0
-
-
 def test_certificate_routes_stable_case():
     pp = strongly_damped(4)
     cert = lhp_certificate(pp, seed=0)
@@ -272,8 +257,6 @@ def test_certificate_falsified_on_unstable():
 
 def test_certificate_consistent_with_spectrum():
     # whenever the certificate concludes, eigenvalues must confirm it
-    from pencillab.core import finite_eigenvalues
-
     rng = np.random.default_rng(17)
     concluded = 0
     for k in range(40):
@@ -317,6 +300,15 @@ def test_regularity_report_on_definite_pencil():
     for item in rep.items:
         if item.hypothesis and item.verified is not None:
             assert item.verified, item.label
+
+
+def test_regularity_report_raises_when_the_extraction_refuses(monkeypatch):
+    def refuse(p):
+        raise RankAmbiguityError("gap too small to call")
+
+    monkeypatch.setattr(localization, "kronecker_structure", refuse)
+    with pytest.raises(RankAmbiguityError, match="gap too small to call"):
+        regularity_conditions_report(strongly_damped(3))
 
 
 def test_regularity_report_labels():

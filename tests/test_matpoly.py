@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pencillab.core import finite_eigenvalues, is_positive_definite, spectral_norm
+from pencillab.core import is_positive_definite, spectral_norm
 from pencillab.errors import (
     DimensionError,
     InputFormatError,
@@ -23,7 +23,7 @@ from pencillab.matpoly import (
     psd_validated,
     sample_rayleigh_roots,
 )
-from pencillab.oracles import random_psd_polynomial, scalarized_roots
+from pencillab.oracles import finite_eigenvalues, random_psd_polynomial, scalarized_roots
 
 
 def scalar_poly(*coeffs):

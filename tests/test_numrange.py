@@ -4,8 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
+from pencillab import numrange
 from pencillab.core import EPS, Pencil, PoshPencil, is_positive_definite
-from pencillab.errors import InputFormatError, PreconditionError
+from pencillab.errors import InputFormatError, PreconditionError, RankAmbiguityError
+from pencillab.kcf import kronecker_structure
 from pencillab.localization import lhp_certificate
 from pencillab.numrange import (
     PacmanRegion,
@@ -270,6 +272,13 @@ def test_shared_isotropic_vector_defeats_combinations(n):
     assert cert.hypothesis_route != "no_isotropic"
     rep = nocommon_chain_report(pp)
     assert rep.d.value is not True
+    # a structure passed in gives the certificate it would compute, notes included
+    given = lhp_certificate(
+        pp, falsify_budget=200, seed=1, structure=kronecker_structure(pp.pencil())
+    )
+    fields = ("eejjx_status", "hypothesis_route", "conclusion", "evidence", "notes")
+    assert [getattr(given, f) for f in fields] == [getattr(cert, f) for f in fields]
+    assert given.witness is None and cert.witness is None
 
 
 def test_chain_report_strictly_dissipative():
@@ -299,7 +308,26 @@ def test_chain_evidence_ranks():
     pp = random_posh_pencil(rng, 3, pd_sum=True)
     rep = nocommon_chain_report(pp)
     for link in (rep.a, rep.b, rep.c, rep.d, rep.e):
-        assert link.evidence in ("exact", "sampled", "heuristic")
+        assert link.evidence == ("none" if link.value is None else "exact")
+
+
+def test_chain_leaves_regularity_open_when_the_extraction_refuses(monkeypatch):
+    def refuse(p):
+        raise RankAmbiguityError("gap too small to call")
+
+    monkeypatch.setattr(numrange, "kronecker_structure", refuse)
+    # a common isotropic vector: (d) is false, and nothing implies (e)
+    j = np.zeros((2, 2))
+    r = np.diag([0.0, 1.0])
+    rep = nocommon_chain_report(PoshPencil(j, r, j, r))
+    assert rep.d.value is False
+    assert (rep.e.value, rep.e.evidence) == (None, "none")
+    assert rep.e.detail.startswith("rank ambiguity: gap too small to call")
+    # (d) decided true by its own exact test on W fills the open (e)
+    rep = nocommon_chain_report(random_shared_kernel_posh_pencil(np.random.default_rng(0), 4, 1))
+    assert (rep.a.value, rep.d.value, rep.d.evidence) == (False, True, "exact")
+    assert rep.d.detail.startswith("Re(exp(i*")
+    assert (rep.e.value, rep.e.evidence, rep.e.detail) == (True, "exact", "implied by (d)")
 
 
 def test_chain_finds_the_positive_real_point_of_a_kernel_vector():

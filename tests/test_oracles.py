@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pencillab.core import finite_eigenvalues, validate_posh
+from pencillab.core import validate_posh
 from pencillab.errors import (
     InputFormatError,
     PreconditionError,
@@ -12,6 +12,7 @@ from pencillab.matpoly import MatrixPolynomial
 from pencillab.oracles import (
     BlockSpec,
     assemble_pencil,
+    finite_eigenvalues,
     named_example,
     random_admissible_structure,
     random_posh_pencil,
