@@ -17,7 +17,7 @@ from .core import (
     hermitian_split,
     is_positive_definite,
     posh_from_parts,
-    psd_slack,
+    psd_spectrum,
     reversal,
     smallest_hermitian_eigenvalue,
     spectral_norm,
@@ -90,7 +90,7 @@ __all__ = [
     "hermitian_split",
     "is_positive_definite",
     "posh_from_parts",
-    "psd_slack",
+    "psd_spectrum",
     "reversal",
     "smallest_hermitian_eigenvalue",
     "spectral_norm",

@@ -65,6 +65,7 @@ from .numrange import (
     PacmanRegion,
     beta_thresholds,
     beta_thresholds_scaled,
+    kernel_verdicts,
     nocommon_chain_report,
     sample_numerical_range,
 )
@@ -502,9 +503,13 @@ def cmd_report(args) -> int:
             ),
         }
         # both read only ks.regular, which the splitting and the convention keep
-        cert = lhp_certificate(pp, falsify_budget=args.samples, seed=seed, structure=ks)
+        kernel = kernel_verdicts(pp)
+        cert = lhp_certificate(
+            pp, falsify_budget=args.samples, seed=seed, structure=ks, kernel=kernel
+        )
         results["certify"] = _certificate_json(cert)
-        results["nocommon_chain"] = _chain_json(nocommon_chain_report(pp, structure=ks))
+        chain = nocommon_chain_report(pp, structure=ks, kernel=kernel)
+        results["nocommon_chain"] = _chain_json(chain)
     rep = _report(
         args.file,
         digest,

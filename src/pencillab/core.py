@@ -72,19 +72,28 @@ def quadratic_forms(X: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 def smallest_hermitian_eigenvalue(h: np.ndarray) -> float:
     """Smallest eigenvalue of a Hermitian matrix (0.0 for the empty matrix)."""
+    return psd_spectrum(h)[0]
+
+
+def psd_spectrum(h: np.ndarray) -> tuple[float, float]:
+    """Smallest eigenvalue of a Hermitian h and its semidefiniteness slack.
+
+    The slack, 64*eps*max|eig(h)|, is scaled by the spectral norm of h, so
+    one eigvalsh gives both.  The empty matrix gives (0.0, 0.0).
+    """
     if h.shape[0] == 0:
-        return 0.0
-    return float(np.linalg.eigvalsh(h)[0])
+        return 0.0, 0.0
+    w = np.linalg.eigvalsh(h)
+    return float(w[0]), 64.0 * EPS * float(max(-w[0], w[-1]))
 
 
-def psd_slack(h: np.ndarray) -> float:
-    """Scale-relative slack for semidefiniteness checks: 64*eps*max|eig|."""
-    return 64.0 * EPS * spectral_norm(h)
+def require_psd(name: str, h: np.ndarray, tol: float | None = None) -> None:
+    """PoshValidationError naming h when the Hermitian h has an eigenvalue < -tol.
 
-
-def require_psd(name: str, h: np.ndarray, tol: float) -> None:
-    """PoshValidationError naming h when the Hermitian h has an eigenvalue < -tol."""
-    lam = smallest_hermitian_eigenvalue(h)
+    tol defaults to the slack of h itself.
+    """
+    lam, slack = psd_spectrum(h)
+    tol = slack if tol is None else tol
     if lam < -tol:
         raise PoshValidationError(name, lam, tol)
 
@@ -203,7 +212,7 @@ class PoshPencil:
 
     The j coefficients must be exactly skew-Hermitian and the r coefficients
     exactly Hermitian with smallest eigenvalue >= -tol, where tol is the
-    larger psd_slack of r1 and r2. Use :func:`posh_from_parts`
+    larger psd_spectrum slack of r1 and r2. Use :func:`posh_from_parts`
     to build one from nearly-structured matrices.
     """
 
@@ -226,9 +235,11 @@ class PoshPencil:
         for name in ("r1", "r2"):
             if not np.array_equal(mats[name].conj().T, mats[name]):
                 raise PreconditionError(f"{name} is not exactly Hermitian")
-        tol = max(psd_slack(mats["r1"]), psd_slack(mats["r2"]))
-        for name in ("r1", "r2"):
-            require_psd(name, mats[name], tol)
+        spectra = {name: psd_spectrum(mats[name]) for name in ("r1", "r2")}
+        tol = max(slack for _, slack in spectra.values())
+        for name, (lam, _) in spectra.items():
+            if lam < -tol:
+                raise PoshValidationError(name, lam, tol)
         for name, m in mats.items():
             object.__setattr__(self, name, m)
 

@@ -12,11 +12,38 @@ import os
 import tempfile
 
 import numpy as np
+import orjson
 
 from .core import MINUS, PLUS, Pencil, PoshPencil
 from .errors import InputFormatError
 from .matpoly import MatrixPolynomial
 from .numrange import PacmanRegion
+
+
+def _decode_json(raw: bytes, path: str):
+    """The value a JSON text of UTF-8 bytes holds, by orjson.
+
+    orjson parses floats exactly as json does, and rejects NaN, Infinity,
+    numbers that overflow to inf, a byte order mark and trailing content.
+    """
+    try:
+        return orjson.loads(raw)
+    except orjson.JSONDecodeError as err:
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as utf_err:
+            raise InputFormatError(f"{path}: not valid UTF-8 ({utf_err})") from err
+        raise InputFormatError(
+            f"{path}: line {err.lineno}, column {err.colno}: {err.msg}"
+        ) from err
+
+
+def _read_bytes(path: str) -> bytes:
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as err:
+        raise InputFormatError(f"cannot read {path}: {err}") from err
 
 
 def load_json_document(path: str) -> tuple[dict, str]:
@@ -25,19 +52,8 @@ def load_json_document(path: str) -> tuple[dict, str]:
     Returns the document and the sha256 hex digest of the bytes it was
     decoded from, so the file is read once.
     """
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as err:
-        raise InputFormatError(f"cannot read {path}: {err}") from err
-    try:
-        doc = json.loads(raw.decode("utf-8"))
-    except UnicodeDecodeError as err:
-        raise InputFormatError(f"{path}: not valid UTF-8 ({err})") from err
-    except json.JSONDecodeError as err:
-        raise InputFormatError(
-            f"{path}: line {err.lineno}, column {err.colno}: {err.msg}"
-        ) from err
+    raw = _read_bytes(path)
+    doc = _decode_json(raw, path)
     if not isinstance(doc, dict):
         raise InputFormatError(f"{path}: top-level value must be an object")
     return doc, hashlib.sha256(raw).hexdigest()
@@ -198,15 +214,7 @@ def regions_to_json(regions) -> str:
 
 
 def parse_regions_json(path: str) -> list:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as err:
-        raise InputFormatError(
-            f"{path}: line {err.lineno}, column {err.colno}: {err.msg}"
-        ) from err
-    except OSError as err:
-        raise InputFormatError(f"cannot read {path}: {err}") from err
+    doc = _decode_json(_read_bytes(path), path)
     if not isinstance(doc, list):
         raise InputFormatError(f"{path}: expected a list of region objects")
     out = []

@@ -35,7 +35,7 @@ from .core import (
 )
 from .errors import PreconditionError, RankAmbiguityError
 from .kcf import KroneckerStructure, kronecker_structure
-from .numrange import _kernel_verdicts, common_kernel
+from .numrange import common_kernel, kernel_verdicts
 
 QUADFORM_TOL = 1e-10
 KRONECKER_SIZE_CAP = 64
@@ -329,6 +329,7 @@ def lhp_certificate(
     falsify_budget: int = 2000,
     seed: int = 0,
     structure: KroneckerStructure | None = None,
+    kernel: tuple | None = None,
 ) -> LhpCertificate:
     """Run the provers and hypothesis routes on one pencil.
 
@@ -348,7 +349,8 @@ def lhp_certificate(
     The last two routes need a regular pencil.  Regularity is read from
     structure, a Kronecker structure of the pencil in either convention,
     computed here when not given; an extraction that refuses leaves the
-    route at none.
+    route at none.  Condition (d) is read from kernel, the result of
+    kernel_verdicts(pp), computed here when not given.
     """
     notes = []
     status = None
@@ -375,7 +377,7 @@ def lhp_certificate(
         notes.append("provers inconclusive and no violating vector found")
         return LhpCertificate("unknown", "none", "none", "none", None, tuple(notes))
 
-    kernels, _, isotropic = _kernel_verdicts(pp)
+    kernels, _, isotropic = kernel_verdicts(pp) if kernel is None else kernel
     if kernels.value is True or isotropic.value is True:
         notes.append(
             "trivial intersection of ker R1 and ker R2"

@@ -15,7 +15,6 @@ from .core import (
     PoshPencil,
     as_complex_matrix,
     is_positive_definite,
-    psd_slack,
     quadratic_forms,
     require_psd,
     spectral_norm,
@@ -77,7 +76,7 @@ def psd_validated(p: MatrixPolynomial) -> MatrixPolynomial:
     fixed = []
     for k, a in enumerate(p.coefficients):
         herm = structured_part(a, f"coefficient {k}")
-        require_psd(f"coefficient {k}", herm, psd_slack(herm))
+        require_psd(f"coefficient {k}", herm)
         fixed.append(herm)
     return MatrixPolynomial(tuple(fixed))
 
@@ -267,7 +266,7 @@ def cubic_stability(p: MatrixPolynomial) -> CubicStabilityReport:
     beta_star = definiteness_threshold(h0, h1)
     try:
         for name, d in (("a2 - a3", a2 - a3), ("a1 - a0", a1 - a0)):
-            require_psd(name, d, psd_slack(d))
+            require_psd(name, d)
         pos2 = True
     except PoshValidationError:
         pos2 = False

@@ -23,9 +23,8 @@ from .core import (
     PoshPencil,
     as_complex_matrix,
     is_positive_definite,
-    psd_slack,
+    psd_spectrum,
     quadratic_forms,
-    smallest_hermitian_eigenvalue,
     spectral_norm,
 )
 from .errors import (
@@ -191,9 +190,15 @@ def _definiteness_thresholds(h0, h1) -> tuple:
 
 
 def _definite_at(h0, g, t) -> bool:
-    """is_positive_definite(h0 + t*g); a sum that overflows is not definite."""
+    """is_positive_definite(h0 + t*g).
+
+    A sum that overflows is tested halved, as 0.5*h0 + (0.5*t)*g, which has
+    the same definiteness; one that overflows even halved is not definite.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
         m = h0 + t * g
+        if not np.all(np.isfinite(m)):
+            m = 0.5 * h0 + (0.5 * t) * g
     return bool(np.all(np.isfinite(m))) and is_positive_definite(m)
 
 
@@ -260,8 +265,8 @@ def beta_thresholds_scaled(pp: PoshPencil, t: float) -> BetaThresholds:
         raise PreconditionError("t must be positive")
     j1_norm = spectral_norm(pp.j1)
     strip = None
-    lam_min_r2 = smallest_hermitian_eigenvalue(pp.r2)
-    if j1_norm > 0.0 and lam_min_r2 > psd_slack(pp.r2):
+    lam_min_r2, slack = psd_spectrum(pp.r2)
+    if j1_norm > 0.0 and lam_min_r2 > slack:
         strip = lam_min_r2 / j1_norm
     k = 1j * pp.j1
     return _thresholds(t * pp.r1 + pp.r2, k, j1_norm, strip)
@@ -489,7 +494,7 @@ def _positive_real_verdict(h1, h2, margin: float) -> ChainVerdict:
     return ChainVerdict(False, "exact", f"forms of -iJ1, -iJ2 on W (dim {k}) split in sign")
 
 
-def _kernel_verdicts(pp: PoshPencil) -> tuple:
+def kernel_verdicts(pp: PoshPencil) -> tuple:
     """Conditions (a), (b) and (d), decided on W = ker R1 n ker R2.
 
     A positive real range point or a common isotropic vector annihilates R1
@@ -533,10 +538,12 @@ def _kernel_verdicts(pp: PoshPencil) -> tuple:
 def nocommon_chain_report(
     pp: PoshPencil,
     structure: KroneckerStructure | None = None,
+    kernel: tuple | None = None,
 ) -> NocommonChainReport:
     """Evaluate the condition chain (a) through (e) on one pencil.
 
-    (a), (b) and (d) are exact tests on W = ker R1 n ker R2.  (c) has no
+    (a), (b) and (d) are exact tests on W = ker R1 n ker R2, given as
+    kernel, the result of kernel_verdicts(pp), or computed.  (c) has no
     test of its own: it comes from the implications alone, so it is None
     when (b) is false and (d) is true.  (e) reads the regularity of the
     Kronecker structure of the pencil, in either convention, given as
@@ -546,7 +553,7 @@ def nocommon_chain_report(
     """
     notes = []
     real_case = pp.is_real
-    a, b, d = _kernel_verdicts(pp)
+    a, b, d = kernel_verdicts(pp) if kernel is None else kernel
     c = ChainVerdict(None, "none", "no test of its own; open unless (b) or (d) implies it")
 
     try:

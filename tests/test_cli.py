@@ -3,6 +3,7 @@ import hashlib
 import json
 
 import numpy as np
+import orjson
 import pytest
 
 from pencillab import cli, kcf, localization, numrange
@@ -291,19 +292,41 @@ def test_report_names_the_fault_of_a_broken_polynomial(doc, message, tmp_path, c
 
 def test_report_decodes_a_pencil_file_once(dissipative_posh, tmp_path, monkeypatch, capsys):
     decoded = []
-    loads = json.loads
+    loads = orjson.loads
 
-    def counting_loads(text, *args, **kwargs):
-        decoded.append(text)
-        return loads(text, *args, **kwargs)
+    def counting_loads(data):
+        decoded.append(data)
+        return loads(data)
 
-    monkeypatch.setattr(json, "loads", counting_loads)
+    monkeypatch.setattr(orjson, "loads", counting_loads)
     out = tmp_path / "rep.json"
     assert main(["report", dissipative_posh, "--samples", "50", "--out", str(out)]) == 0
     assert len(decoded) == 1
     monkeypatch.undo()
     assert json.loads(out.read_text())["fingerprint"]["kind"] == "posh_pencil"
     capsys.readouterr()
+
+
+def test_report_decides_the_kernel_conditions_once_per_file(
+    stable_posh, dissipative_posh, monkeypatch, capsys
+):
+    calls = []
+    kernel_verdicts = numrange.kernel_verdicts
+
+    def counting(pp):
+        calls.append(pp)
+        return kernel_verdicts(pp)
+
+    for module in (cli, numrange, localization):
+        monkeypatch.setattr(module, "kernel_verdicts", counting)
+    # a proved certificate reads condition (d) from the chain's verdicts;
+    # a falsified one never reaches them
+    for path, status in ((stable_posh, "proved_by_"), (dissipative_posh, "falsified")):
+        calls.clear()
+        assert main(["report", path, "--samples", "50"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["results"]["certify"]["eejjx_status"].startswith(status), path
+        assert len(calls) == 1, path
 
 
 def test_report_reads_its_input_once(unstable_pencil, tmp_path, monkeypatch, capsys):

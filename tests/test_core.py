@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from pencillab import core
 from pencillab.core import (
+    EPS,
     DhPencil,
     Pencil,
     PoshPencil,
@@ -78,6 +80,42 @@ def test_posh_pencil_validation():
     # indefinite Hermitian part rejected with the coefficient named
     with pytest.raises(PoshValidationError, match="r2"):
         PoshPencil(j, r, j, -r)
+
+
+def test_posh_pencil_validation_runs_no_svd(monkeypatch):
+    j = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    r1 = np.diag([2.0, 0.0])
+    r2 = np.array([[1.0, 1j], [-1j, 1.0]])
+
+    def no_svd(a):
+        raise AssertionError("validation took a spectral norm")
+
+    monkeypatch.setattr(core, "spectral_norm", no_svd)
+    pp = PoshPencil(j, r1, j, r2)
+    assert pp.n == 2
+
+
+@pytest.mark.parametrize("name", ["r1", "r2"])
+def test_posh_pencil_psd_boundary(name):
+    # one eigvalsh per R gives lambda_min and the slack 64*eps*max|eig|
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    j = np.zeros((3, 3))
+    slack = 64.0 * EPS * 3.0
+
+    def pencil(lam_min):
+        h = q @ np.diag([3.0, 1.0, lam_min]) @ q.conj().T
+        parts = {"r1": np.eye(3), "r2": np.eye(3), name: 0.5 * (h + h.conj().T)}
+        return PoshPencil(j, parts["r1"], j, parts["r2"])
+
+    assert pencil(-0.5 * slack).n == 3
+    with pytest.raises(PoshValidationError, match=name) as info:
+        pencil(-2.0 * slack)
+    err = info.value
+    assert err.coefficient == name
+    assert err.lambda_min == pytest.approx(-2.0 * slack, rel=0.05)
+    assert err.tolerance == pytest.approx(slack, rel=1e-12)
+    assert "smallest eigenvalue" in str(err) and f"{err.tolerance:.6e}" in str(err)
 
 
 def test_posh_pencil_round_trip():

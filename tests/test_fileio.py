@@ -10,6 +10,7 @@ from pencillab.core import Pencil, PoshPencil
 from pencillab.errors import InputFormatError
 from pencillab.fileio import (
     atomic_write_text,
+    load_json_document,
     load_pencil_file,
     load_polynomial_file,
     matrix_to_json,
@@ -156,6 +157,66 @@ def test_load_pencil_file_errors(tmp_path):
         )
     with pytest.raises(InputFormatError):
         load_pencil_file(str(tmp_path / "missing.json"))
+
+
+# strings where a float parser is most likely to round wrongly
+HARD_NUMBERS = (
+    "4.9e-324",
+    "2.4703282292062327e-324",
+    "2.4703282292062328e-324",
+    "2.2250738585072011e-308",
+    "2.2250738585072012e-308",
+    "1.7976931348623157e308",
+    "1.7976931348623158e308",
+    "9007199254740993",
+    "9007199254740993.0",
+    "123456789012345678901234567890",
+    "-0.0",
+    "1e-400",
+)
+
+
+def test_decoded_matrices_are_bit_identical_to_json(tmp_path):
+    rng = np.random.default_rng(11)
+    bits = rng.integers(0, 2**64, size=4000, dtype=np.uint64).view(np.float64)
+    normals = rng.standard_normal(4000) * 10.0 ** rng.integers(-300, 300, size=4000)
+    texts = [repr(x) for x in bits[np.isfinite(bits)].tolist()]
+    for fmt in ("%r", "%.17g", "%.20g", "%.25e", "%.12g"):
+        texts += [fmt % x for x in normals.tolist()]
+    texts += list(HARD_NUMBERS)
+    texts += texts[: len(texts) % 2]  # whole [re, im] pairs
+    pairs = [f"[{a}, {b}]" for a, b in zip(texts[::2], texts[1::2])]
+    rows = [", ".join(pairs[k : k + 50]) for k in range(0, len(pairs), 50)]
+    rows[-1] += ", [0, 0]" * (-len(pairs) % 50)
+    text = '{"m": [' + ", ".join(f"[{row}]" for row in rows) + "]}"
+    path = tmp_path / "numbers.json"
+    path.write_text(text)
+    doc, _ = load_json_document(str(path))
+    got = parse_matrix(doc["m"], "m")
+    want = parse_matrix(json.loads(text)["m"], "m")
+    assert got.shape == want.shape == (len(rows), 50)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (b'{"m": [[[NaN, 0]]]}', "line 1, column 10"),
+        (b'{"m": [[[Infinity, 0]]]}', "line 1, column 10"),
+        (b'{"m": [[[0, -Infinity]]]}', "line 1, column 13"),
+        (b'{"m":\n [[[1e400, 0]]]}', "line 2, column 5"),
+        (b'{"m": [[[' + b"9" * 400 + b', 0]]]}', "line 1, column 10"),
+        (b'\xef\xbb\xbf{"m": [[[1, 0]]]}', "line 1, column 1"),
+        (b'{"m": [[[1, 0]]]} {}', "line 1, column 19"),
+        (b'{"m": [[["\xff", 0]]]}', "not valid UTF-8"),
+    ],
+)
+def test_decoder_rejects_with_a_position(raw, message, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    for load in (load_pencil_file, parse_regions_json):
+        with pytest.raises(InputFormatError, match=message):
+            load(str(path))
 
 
 def test_load_polynomial_file(tmp_path):

@@ -88,6 +88,12 @@ def test_definiteness_threshold_above_bisection_resolution():
     assert definiteness_threshold(1e300 * np.eye(2), np.diag([1.0, -1e-10])) == math.inf
 
 
+def test_definiteness_threshold_when_the_sum_overflows():
+    # h0 + beta*g overflows near the supremum 0.8e308 although beta*g does not
+    t = definiteness_threshold(0.8e308 * np.eye(2), np.diag([2.0, -1.0]))
+    assert 0.8e308 * (1.0 - 1e-12) <= t <= 0.8e308
+
+
 def test_definiteness_threshold_on_the_empty_pair():
     assert definiteness_threshold(np.zeros((0, 0)), np.zeros((0, 0))) == math.inf
 
