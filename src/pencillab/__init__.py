@@ -14,12 +14,12 @@ from .core import (
     DhPencil,
     Pencil,
     PoshPencil,
-    hermitian_split,
+    hermitian_part,
     is_positive_definite,
     posh_from_parts,
     psd_spectrum,
     reversal,
-    smallest_hermitian_eigenvalue,
+    skew_part,
     spectral_norm,
     validate_posh,
 )
@@ -87,12 +87,12 @@ __all__ = [
     "DhPencil",
     "Pencil",
     "PoshPencil",
-    "hermitian_split",
+    "hermitian_part",
     "is_positive_definite",
     "posh_from_parts",
     "psd_spectrum",
     "reversal",
-    "smallest_hermitian_eigenvalue",
+    "skew_part",
     "spectral_norm",
     "validate_posh",
     "GENERAL_Q",

@@ -21,7 +21,7 @@ from .core import (
     STRUCTURE_DRIFT_TOL,
     Pencil,
     PoshPencil,
-    smallest_hermitian_eigenvalue,
+    psd_spectrum,
     spectral_norm,
     validate_posh,
 )
@@ -108,14 +108,12 @@ def _fingerprint(path: str, digest: str, obj) -> dict:
     if isinstance(obj, PoshPencil):
         fp["kind"] = "posh_pencil"
         fp["n"] = int(obj.j1.shape[0])
-        fp["norms"] = {
-            k: spectral_norm(getattr(obj, k)) for k in ("j1", "r1", "j2", "r2")
-        }
+        fp["norms"] = {k: obj.norm(k) for k in ("j1", "r1", "j2", "r2")}
     elif isinstance(obj, Pencil):
         fp["kind"] = "pencil"
         fp["rows"], fp["cols"] = (int(v) for v in obj.lead.shape)
         fp["convention"] = obj.convention
-        fp["norms"] = {"lead": spectral_norm(obj.lead), "const": spectral_norm(obj.constant)}
+        fp["norms"] = {"lead": obj.norm("lead"), "const": obj.norm("constant")}
     elif isinstance(obj, MatrixPolynomial):
         fp["kind"] = "matrix_polynomial"
         fp["n"] = obj.n
@@ -248,8 +246,8 @@ def cmd_validate(args) -> int:
                 "valid": True,
                 "evidence": "exact",
                 "psd_margins": {
-                    "r1": smallest_hermitian_eigenvalue(pp.r1),
-                    "r2": smallest_hermitian_eigenvalue(pp.r2),
+                    "r1": psd_spectrum(pp.r1)[0],
+                    "r2": psd_spectrum(pp.r2)[0],
                 },
             }
         },

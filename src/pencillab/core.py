@@ -70,9 +70,14 @@ def quadratic_forms(X: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.einsum("ni,ni->n", X, y).conj()
 
 
-def smallest_hermitian_eigenvalue(h: np.ndarray) -> float:
-    """Smallest eigenvalue of a Hermitian matrix (0.0 for the empty matrix)."""
-    return psd_spectrum(h)[0]
+def hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(m + m*)/2, exactly Hermitian; halving before the sum keeps it finite."""
+    return 0.5 * m + 0.5 * m.conj().T
+
+
+def skew_part(m: np.ndarray) -> np.ndarray:
+    """(m - m*)/2, exactly skew-Hermitian; halving before the sum keeps it finite."""
+    return 0.5 * m - 0.5 * m.conj().T
 
 
 def psd_spectrum(h: np.ndarray) -> tuple[float, float]:
@@ -104,31 +109,10 @@ def is_positive_definite(h: np.ndarray) -> bool:
     if h.shape[0] == 0:
         return True
     try:
-        # halving before the sum keeps entries near the float limit finite
-        np.linalg.cholesky(0.5 * h + 0.5 * h.conj().T)
+        np.linalg.cholesky(hermitian_part(h))
     except np.linalg.LinAlgError:
         return False
     return True
-
-
-@dataclass(frozen=True, eq=False)
-class HermitianSplit:
-    """Decomposition m = skew + herm with skew* = -skew and herm* = herm."""
-
-    skew: np.ndarray
-    herm: np.ndarray
-
-
-def hermitian_split(m) -> HermitianSplit:
-    """Split a square matrix into its skew-Hermitian and Hermitian parts.
-
-    Both parts are exact by construction: the conjugation identities hold
-    entrywise in floating point, and skew + herm reconstructs the input to
-    within 2 ulp per entry.
-    """
-    m = as_complex_matrix(m, "matrix", square=True)
-    mh = m.conj().T
-    return HermitianSplit(skew=_frozen(0.5 * (m - mh)), herm=_frozen(0.5 * (m + mh)))
 
 
 def structured_part(m, name: str, skew: bool = False) -> np.ndarray:
@@ -139,8 +123,7 @@ def structured_part(m, name: str, skew: bool = False) -> np.ndarray:
     naming the matrix.
     """
     m = as_complex_matrix(m, name, square=True)
-    split = hermitian_split(m)
-    keep, drop = (split.skew, split.herm) if skew else (split.herm, split.skew)
+    keep, drop = (skew_part(m), hermitian_part(m)) if skew else (hermitian_part(m), skew_part(m))
     drift = spectral_norm(drop)
     allowed = STRUCTURE_DRIFT_TOL * (1.0 + spectral_norm(m))
     if drift > allowed:
@@ -151,8 +134,19 @@ def structured_part(m, name: str, skew: bool = False) -> np.ndarray:
     return keep
 
 
+class _CoefficientNorms:
+    """norm(name): the spectral norm of coefficient name, computed on first use."""
+
+    def norm(self, name: str) -> float:
+        # the instance dict takes the cache past a frozen dataclass's __setattr__
+        norms = self.__dict__.setdefault("_norms", {})
+        if name not in norms:
+            norms[name] = spectral_norm(getattr(self, name))
+        return norms[name]
+
+
 @dataclass(frozen=True, eq=False)
-class Pencil:
+class Pencil(_CoefficientNorms):
     """A matrix pencil in one of the two coefficient conventions.
 
     ``plus``:  lambda * lead + constant
@@ -207,7 +201,7 @@ def reversal(p: Pencil) -> Pencil:
 
 
 @dataclass(frozen=True, eq=False)
-class PoshPencil:
+class PoshPencil(_CoefficientNorms):
     """Plus-convention pencil lambda(J1+R1) + (J2+R2).
 
     The j coefficients must be exactly skew-Hermitian and the r coefficients
@@ -295,7 +289,7 @@ class DhPencil:
                     f"q*e is not Hermitian: asymmetry norm {drift:.6e} exceeds "
                     f"tolerance {2.0 * tol + EPS:.6e}"
                 )
-            require_psd("q*e", 0.5 * (qe + qe.conj().T), tol)
+            require_psd("q*e", hermitian_part(qe), tol)
         for name, m in mats.items():
             object.__setattr__(self, name, m)
 
@@ -318,9 +312,9 @@ def validate_posh(p: Pencil) -> PoshPencil:
     p = p.to_plus()
     if not p.is_square:
         raise DimensionError(f"pencil must be square, got shape {p.shape}")
-    s1 = hermitian_split(p.lead)
-    s2 = hermitian_split(p.constant)
-    return PoshPencil(s1.skew, s1.herm, s2.skew, s2.herm)
+    return PoshPencil(
+        skew_part(p.lead), hermitian_part(p.lead), skew_part(p.constant), hermitian_part(p.constant)
+    )
 
 
 def posh_from_parts(j1, r1, j2, r2) -> PoshPencil:

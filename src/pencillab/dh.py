@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import AXIS_TOL, DhPencil
+from .core import AXIS_TOL, DhPencil, hermitian_part, skew_part
 from .errors import PreconditionError
 from .kcf import KroneckerStructure
 
@@ -119,8 +119,7 @@ def _block_lhp_complex(lam: complex, size: int):
     alpha = lam.real
     n_mat = _shift(size)
     m = lam * np.eye(size) + alpha * n_mat
-    j = (m - m.conj().T) / 2.0
-    r = -(m + m.conj().T) / 2.0
+    j, r = skew_part(m), -hermitian_part(m)
     return np.eye(size), j, r, np.eye(size)
 
 
@@ -129,8 +128,7 @@ def _block_lhp_real_pair(alpha: float, beta: float, size: int):
     # alpha*I2 couplings above
     lam2 = np.array([[alpha, beta], [-beta, alpha]])
     m = np.kron(np.eye(size), lam2) + np.kron(_shift(size), alpha * np.eye(2))
-    j = (m - m.T) / 2.0
-    r = -(m + m.T) / 2.0
+    j, r = skew_part(m), -hermitian_part(m)
     dim = 2 * size
     return np.eye(dim), j, r, np.eye(dim)
 

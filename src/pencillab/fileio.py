@@ -105,6 +105,17 @@ def parse_matrix(obj, where: str) -> np.ndarray:
     return np.array(rows, dtype=np.complex128)
 
 
+def _declared_int(doc: dict, key: str, path: str):
+    """The size doc declares under key, or None; it must be a JSON integer."""
+    if key not in doc:
+        return None
+    value = doc[key]
+    # bool is an int subclass, but true is no size
+    if type(value) is not int:
+        raise InputFormatError(f"{path}: declared {key} must be an integer, got {value!r}")
+    return value
+
+
 def matrix_to_json(mat) -> list:
     arr = np.asarray(mat, dtype=np.complex128)
     return [
@@ -131,8 +142,9 @@ def pencil_from_document(doc: dict, path: str):
         for k, m in zip(("j1", "r1", "j2", "r2"), parts):
             if m.shape != (n, n):
                 raise InputFormatError(f"{path}:{k}: expected shape {n}x{n}")
-        if "n" in doc and int(doc["n"]) != n:
-            raise InputFormatError(f"{path}: declared n={doc['n']} but matrices are {n}x{n}")
+        declared = _declared_int(doc, "n", path)
+        if declared is not None and declared != n:
+            raise InputFormatError(f"{path}: declared n={declared} but matrices are {n}x{n}")
         return PoshPencil(*parts)
     if "lead" in doc and "const" in doc:
         lead = parse_matrix(doc["lead"], f"{path}:lead")
@@ -142,7 +154,8 @@ def pencil_from_document(doc: dict, path: str):
             raise InputFormatError(
                 f"{path}: convention must be 'plus' or 'minus', got {convention!r}"
             )
-        if "n" in doc and (lead.shape[0] != int(doc["n"]) or lead.shape[0] != lead.shape[1]):
+        declared = _declared_int(doc, "n", path)
+        if declared is not None and lead.shape != (declared, declared):
             raise InputFormatError(f"{path}: declared n does not match matrix shape")
         return Pencil(lead, const, convention)
     raise InputFormatError(
@@ -164,11 +177,11 @@ def polynomial_from_document(doc: dict, path: str) -> MatrixPolynomial:
     if not isinstance(coeffs, list) or len(coeffs) < 2:
         raise InputFormatError(f"{path}: coefficients must list A0..Ad with d >= 1")
     mats = [parse_matrix(c, f"{path}:coefficients[{k}]") for k, c in enumerate(coeffs)]
-    if "degree" in doc and int(doc["degree"]) != len(mats) - 1:
-        raise InputFormatError(
-            f"{path}: declared degree {doc['degree']} but found {len(mats) - 1}"
-        )
-    if "n" in doc and mats[0].shape[0] != int(doc["n"]):
+    declared = _declared_int(doc, "degree", path)
+    if declared is not None and declared != len(mats) - 1:
+        raise InputFormatError(f"{path}: declared degree {declared} but found {len(mats) - 1}")
+    declared = _declared_int(doc, "n", path)
+    if declared is not None and declared != mats[0].shape[0]:
         raise InputFormatError(f"{path}: declared n does not match coefficient shape")
     return MatrixPolynomial(tuple(mats))
 
@@ -224,7 +237,12 @@ def parse_regions_json(path: str) -> list:
         beta = entry.get("beta")
         if beta == "inf":
             beta = math.inf
-        out.append(PacmanRegion(float(beta), str(entry.get("sign"))))
+        elif type(beta) not in (int, float):
+            raise InputFormatError(f'{path}[{k}]: beta must be a number or "inf", got {beta!r}')
+        try:
+            out.append(PacmanRegion(beta, str(entry.get("sign"))))
+        except InputFormatError as err:
+            raise InputFormatError(f"{path}[{k}]: {err}") from err
     return out
 
 

@@ -163,18 +163,17 @@ def _decide_rank(
     return rank
 
 
-def _staircase_inf(E, A, kappa: float, extra_floor: float = 0.0, scale=None):
+def _staircase_inf(E, A, kappa: float, scale: float, extra_floor: float = 0.0):
     """Deflate the structure at infinity and the right singular part.
 
     Works on the pencil lambda*E - A. Returns the step counts (s_k, t_k)
     where s_k = dim ker E and t_k = rank(A restricted to that kernel) at
     step k, together with the deflated core whose lead has trivial kernel.
-    scale, when given, must be max(||E||, ||A||) of the input.
+    Rank cutoffs are relative to scale, the max(||E||, ||A||) of the input
+    or of the pencil it was deflated from.
     """
     E = np.array(E, dtype=np.complex128)
     A = np.array(A, dtype=np.complex128)
-    if scale is None:
-        scale = max(spectral_norm(E), spectral_norm(A))
     # roundoff contaminates deflated submatrices at the scale of the whole
     # problem, so rank cutoffs keep the entry dimension even as steps shrink
     dim0 = max(max(E.shape), 1)
@@ -321,7 +320,7 @@ def _cluster_multiplicities(
     for factor in (1.0, 4.0, 16.0, 64.0):
         try:
             s_list, t_list, _, _ = _staircase_inf(
-                b, E, kappa, extra_floor=factor * base + carried_floor, scale=scale
+                b, E, kappa, scale, extra_floor=factor * base + carried_floor
             )
             minimal, sizes = _counts_from_staircase(s_list, t_list)
         except RankAmbiguityError:
@@ -421,6 +420,9 @@ def kronecker_structure(p: Pencil) -> KroneckerStructure:
         raise PreconditionError(
             f"pencil size {rows}x{cols} exceeds the cap {SIZE_CAP}"
         )
+    # truncation garbage left in deflated cores is proportional to the scale
+    # of the ORIGINAL pencil, so later phases must not trust core-local scale
+    scale = max(p.norm("lead"), p.norm("constant"))
 
     # roundoff accumulated over successive compressions can cross a tight
     # rank tolerance; retry with escalated safety factors and accept only
@@ -428,22 +430,19 @@ def kronecker_structure(p: Pencil) -> KroneckerStructure:
     last_error: RankAmbiguityError | None = None
     for mult in (1.0, 4.0, 16.0, 64.0):
         try:
-            return _extract_structure(E, A, rows, cols, KAPPA_SAFETY * mult)
+            return _extract_structure(E, A, rows, cols, KAPPA_SAFETY * mult, scale)
         except RankAmbiguityError as err:
             last_error = err
     raise last_error
 
 
-def _extract_structure(E, A, rows, cols, kappa: float) -> KroneckerStructure:
-    # truncation garbage left in deflated cores is proportional to the scale
-    # of the ORIGINAL pencil, so later phases must not trust core-local scale
-    scale = max(spectral_norm(E), spectral_norm(A))
+def _extract_structure(E, A, rows, cols, kappa: float, scale: float) -> KroneckerStructure:
     global_floor = kappa * EPS * max(rows, cols, 1) * scale
 
-    s1, t1, e_core, a_core = _staircase_inf(E, A, kappa, scale=scale)
+    s1, t1, e_core, a_core = _staircase_inf(E, A, kappa, scale)
     right, inf_sizes = _counts_from_staircase(s1, t1)
 
-    s2, t2, _, _ = _staircase_inf(E.conj().T, A.conj().T, kappa)
+    s2, t2, _, _ = _staircase_inf(E.conj().T, A.conj().T, kappa, scale)
     left_indep, inf_indep = _counts_from_staircase(s2, t2)
     if inf_indep != inf_sizes:
         raise RankAmbiguityError(
@@ -451,8 +450,10 @@ def _extract_structure(E, A, rows, cols, kappa: float) -> KroneckerStructure:
             f"at infinity: {inf_sizes} vs {inf_indep}"
         )
 
+    # cutoffs at the core's own norms, plus global_floor at the input's scale
+    eh, ah = e_core.conj().T, a_core.conj().T
     s3, t3, e2h, a2h = _staircase_inf(
-        e_core.conj().T, a_core.conj().T, kappa, extra_floor=global_floor
+        eh, ah, kappa, max(spectral_norm(eh), spectral_norm(ah)), extra_floor=global_floor
     )
     left, inf_leftover = _counts_from_staircase(s3, t3)
     if inf_leftover:

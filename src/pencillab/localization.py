@@ -29,8 +29,9 @@ from .core import (
     PLUS,
     Pencil,
     PoshPencil,
+    hermitian_part,
+    psd_spectrum,
     quadratic_forms,
-    smallest_hermitian_eigenvalue,
     spectral_norm,
 )
 from .errors import PreconditionError, RankAmbiguityError
@@ -52,20 +53,25 @@ SECTOR_ANGLE_TOL = 1e-6
 SECTOR_ZERO_RADIUS = 1e-8
 
 
+def _eejjx_values(pp: PoshPencil, X: np.ndarray) -> np.ndarray:
+    """Values of the quadratic-form condition at every row of X."""
+    q1 = np.real(quadratic_forms(X, pp.r1))
+    q2 = np.real(quadratic_forms(X, pp.r2))
+    w1 = quadratic_forms(X, pp.j1)
+    w2 = quadratic_forms(X, pp.j2)
+    return -q1 * q2 + np.real(w1 * w2)
+
+
 def eejjx_value(pp: PoshPencil, x) -> float:
     """Value of the quadratic-form condition at x; positive means violated."""
-    vec = np.asarray(x, dtype=np.complex128).reshape(-1)
-    q1 = complex(vec.conj() @ pp.r1 @ vec)
-    q2 = complex(vec.conj() @ pp.r2 @ vec)
-    w1 = complex(vec.conj() @ pp.j1 @ vec)
-    w2 = complex(vec.conj() @ pp.j2 @ vec)
-    return float((-q1 * q2 + w1 * w2).real)
+    vec = np.asarray(x, dtype=np.complex128).reshape(1, -1)
+    return float(_eejjx_values(pp, vec)[0])
 
 
 def eejjx_by_norms(pp: PoshPencil) -> bool:
     """lambda_min(R1)*lambda_min(R2) >= ||J1||*||J2|| forces the condition."""
-    lhs = smallest_hermitian_eigenvalue(pp.r1) * smallest_hermitian_eigenvalue(pp.r2)
-    return lhs >= spectral_norm(pp.j1) * spectral_norm(pp.j2)
+    lhs = psd_spectrum(pp.r1)[0] * psd_spectrum(pp.r2)[0]
+    return lhs >= pp.norm("j1") * pp.norm("j2")
 
 
 def _symmetric_kronecker_form(pp: PoshPencil) -> np.ndarray:
@@ -143,18 +149,19 @@ def eejjx_by_kronecker(pp: PoshPencil) -> bool:
     return info == 0
 
 
-def _forms_share_sign(k1, k2, n1: float, n2: float) -> bool:
-    """True when the Hermitian forms x*K1x and x*K2x never take opposite signs.
+def _forms_share_sign(pp: PoshPencil) -> bool:
+    """True when the forms x*K1x and x*K2x, K_k = -iJ_k, never take opposite signs.
 
-    n1 and n2 are the spectral norms of K1 and K2.  The forms share a sign
-    exactly when both are positive semidefinite, both are negative
-    semidefinite, or one is a nonnegative multiple of the other, each up
-    to SPECTRAL_RELATIVE_TOL.
+    The forms share a sign exactly when both are positive semidefinite,
+    both are negative semidefinite, or one is a nonnegative multiple of the
+    other, each up to SPECTRAL_RELATIVE_TOL times the norms of the J's.
     """
+    n1, n2 = pp.norm("j1"), pp.norm("j2")
     if n1 == 0.0 or n2 == 0.0:
         return True
-    w1 = np.linalg.eigvalsh((k1 + k1.conj().T) / 2.0)
-    w2 = np.linalg.eigvalsh((k2 + k2.conj().T) / 2.0)
+    k1, k2 = (-1j) * pp.j1, (-1j) * pp.j2
+    w1 = np.linalg.eigvalsh(hermitian_part(k1))
+    w2 = np.linalg.eigvalsh(hermitian_part(k2))
     lo1, hi1 = float(w1[0]), float(w1[-1])
     lo2, hi2 = float(w2[0]), float(w2[-1])
     if lo1 >= -SPECTRAL_RELATIVE_TOL * n1 and lo2 >= -SPECTRAL_RELATIVE_TOL * n2:
@@ -186,21 +193,14 @@ def eejjx_by_spectral(pp: PoshPencil) -> bool:
     """
     if pp.n == 0:
         return True
-    k1 = (-1j) * pp.j1
-    k2 = (-1j) * pp.j2
-    n1 = spectral_norm(k1)
-    n2 = spectral_norm(k2)
     # a negligible J product cannot push the form past the falsifier scale
-    if n1 * n2 <= SPECTRAL_RELATIVE_TOL * spectral_norm(pp.r1) * spectral_norm(pp.r2):
+    if pp.norm("j1") * pp.norm("j2") <= SPECTRAL_RELATIVE_TOL * pp.norm("r1") * pp.norm("r2"):
         return True
-    return _forms_share_sign(k1, k2, n1, n2)
+    return _forms_share_sign(pp)
 
 
 def _eejjx_threshold(pp: PoshPencil) -> float:
-    return QUADFORM_TOL * max(
-        spectral_norm(pp.r1) * spectral_norm(pp.r2),
-        spectral_norm(pp.j1) * spectral_norm(pp.j2),
-    )
+    return QUADFORM_TOL * max(pp.norm("r1") * pp.norm("r2"), pp.norm("j1") * pp.norm("j2"))
 
 
 def _eejjx_gradient(pp: PoshPencil, vec: np.ndarray) -> np.ndarray:
@@ -242,11 +242,7 @@ def _random_phase(pp: PoshPencil, budget: int, seed: int):
         take = min(chunk, rand_budget - used)
         X = rng.standard_normal((take, n)) + 1j * rng.standard_normal((take, n))
         X /= np.linalg.norm(X, axis=1)[:, None]
-        q1 = np.real(quadratic_forms(X, pp.r1))
-        q2 = np.real(quadratic_forms(X, pp.r2))
-        w1 = quadratic_forms(X, pp.j1)
-        w2 = quadratic_forms(X, pp.j2)
-        vals = -q1 * q2 + np.real(w1 * w2)
+        vals = _eejjx_values(pp, X)
         over = np.nonzero(vals > threshold)[0]
         if over.size:
             return X[over[0]].copy(), lambda: None
@@ -417,8 +413,7 @@ def lhp_certificate(
                     None,
                     tuple(notes),
                 )
-        k1, k2 = (-1j) * pp.j1, (-1j) * pp.j2
-        if _forms_share_sign(k1, k2, spectral_norm(k1), spectral_norm(k2)):
+        if _forms_share_sign(pp):
             notes.append(
                 "skew numerical range in the closed left half plane: "
                 "the forms of -iJ1 and -iJ2 never take opposite signs"
@@ -504,11 +499,7 @@ def regularity_conditions_report(pp: PoshPencil) -> RegularityConditionsReport:
     jj = _pencil_regular(pp.j1, pp.j2)
     r1j2 = _pencil_regular(pp.r1, pp.j2)
     r2j1 = _pencil_regular(pp.r2, pp.j1)
-    scale = max(
-        spectral_norm(pp.j1) + spectral_norm(pp.j2),
-        spectral_norm(pp.r1) + spectral_norm(pp.r2),
-        1.0,
-    )
+    scale = max(pp.norm("j1") + pp.norm("j2"), pp.norm("r1") + pp.norm("r2"), 1.0)
     items = []
 
     if not p_regular:

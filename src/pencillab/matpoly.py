@@ -14,6 +14,7 @@ import numpy as np
 from .core import (
     PoshPencil,
     as_complex_matrix,
+    hermitian_part,
     is_positive_definite,
     quadratic_forms,
     require_psd,
@@ -147,8 +148,7 @@ def linearize_even(p: MatrixPolynomial) -> PoshPencil:
         raise PreconditionError(
             "the constant coefficient must be positive definite for the even form"
         )
-    a0_inv = np.linalg.inv(a[0])
-    a0_inv = (a0_inv + a0_inv.conj().T) / 2.0
+    a0_inv = hermitian_part(np.linalg.inv(a[0]))
     eye = np.eye(n, dtype=np.complex128)
 
     j1 = {}
@@ -297,8 +297,7 @@ def mgt_stability(a: float, b: float, c: float, t) -> str:
 
 def mgt_polynomial(a: float, b: float, c: float, t) -> MatrixPolynomial:
     """The cubic lambda^3 I + a lambda^2 I + b lambda T + c T as data."""
-    t = as_complex_matrix(t, "t", square=True)
-    t = (t + t.conj().T) / 2.0
+    t = hermitian_part(as_complex_matrix(t, "t", square=True))
     n = t.shape[0]
     eye = np.eye(n, dtype=np.complex128)
     return MatrixPolynomial((float(c) * t, float(b) * t, float(a) * eye, eye))

@@ -22,6 +22,7 @@ from .core import (
     Pencil,
     PoshPencil,
     as_complex_matrix,
+    hermitian_part,
     is_positive_definite,
     psd_spectrum,
     quadratic_forms,
@@ -104,9 +105,9 @@ def rayleigh_point(p: Pencil, x) -> complex | None:
     nrm2 = float(np.real(vec.conj() @ vec))
     if nrm2 == 0.0:
         raise InputFormatError("zero vector has no Rayleigh quotient")
-    ql = complex(vec.conj() @ p.lead @ vec)
-    qc = complex(vec.conj() @ p.constant @ vec)
-    if abs(ql) <= DENOMINATOR_CUTOFF * spectral_norm(p.lead) * nrm2:
+    ql = complex(quadratic_forms(vec[None, :], p.lead)[0])
+    qc = complex(quadratic_forms(vec[None, :], p.constant)[0])
+    if abs(ql) <= DENOMINATOR_CUTOFF * p.norm("lead") * nrm2:
         return None
     return -qc / ql
 
@@ -135,22 +136,13 @@ def sample_numerical_range(p: Pencil, n_samples: int, seed: int = 0) -> NumRange
     X /= norms[:, None]
     ql = quadratic_forms(X, p.lead)
     qc = quadratic_forms(X, p.constant)
-    lead_norm = spectral_norm(p.lead)
-    emit_scale = EMISSION_RESIDUAL * (lead_norm + spectral_norm(p.constant))
+    lead_norm = p.norm("lead")
+    emit_scale = EMISSION_RESIDUAL * (lead_norm + p.norm("constant"))
     keep = np.abs(ql) > DENOMINATOR_CUTOFF * lead_norm
     mu = np.where(keep, -qc / np.where(keep, ql, 1.0), 0.0)
     keep &= np.abs(qc + mu * ql) <= emit_scale
     points = tuple(mu[keep].tolist())
     return NumRangeSample(points, n_samples - len(points), seed, n_samples)
-
-
-def _hermitized(m) -> np.ndarray:
-    """(m + m*)/2; PreconditionError where it overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        h = (m + m.conj().T) / 2.0
-    if not np.all(np.isfinite(h)):
-        raise PreconditionError("a Hermitian part is not finite")
-    return h
 
 
 def definiteness_threshold(h0, h1) -> float | None:
@@ -162,8 +154,8 @@ def definiteness_threshold(h0, h1) -> float | None:
     below the supremum: below it whenever the threshold is well enough
     conditioned for the eigensolve and the Cholesky to resolve it.
     """
-    h0 = _hermitized(as_complex_matrix(h0, "h0", square=True))
-    h1 = _hermitized(as_complex_matrix(h1, "h1", square=True))
+    h0 = hermitian_part(as_complex_matrix(h0, "h0", square=True))
+    h1 = hermitian_part(as_complex_matrix(h1, "h1", square=True))
     if h0.shape != h1.shape:
         raise DimensionError("h0 and h1 must have equal size")
     if not is_positive_definite(h0):
@@ -238,12 +230,12 @@ def _threshold(h0, g, w) -> float:
 
 
 def _thresholds(h0, k, j1_norm, strip_bound=None) -> BetaThresholds:
-    h0 = _hermitized(h0)
+    h0 = hermitian_part(h0)
     if not is_positive_definite(h0):
         return BetaThresholds(None, None, None, strip_bound)
     if j1_norm == 0.0:
         return BetaThresholds(math.inf, math.inf, None, strip_bound)
-    beta_plus, beta_minus = _definiteness_thresholds(h0, _hermitized(k))
+    beta_plus, beta_minus = _definiteness_thresholds(h0, hermitian_part(k))
     lower = float(np.linalg.svd(h0, compute_uv=False)[-1]) / j1_norm
     return BetaThresholds(beta_plus, beta_minus, lower, strip_bound)
 
@@ -251,7 +243,7 @@ def _thresholds(h0, k, j1_norm, strip_bound=None) -> BetaThresholds:
 def beta_thresholds(pp: PoshPencil) -> BetaThresholds:
     """Thresholds for R1 + R2 +/- beta*(i J1) staying positive definite."""
     k = 1j * pp.j1
-    return _thresholds(pp.r1 + pp.r2, k, spectral_norm(pp.j1))
+    return _thresholds(pp.r1 + pp.r2, k, pp.norm("j1"))
 
 
 def beta_thresholds_scaled(pp: PoshPencil, t: float) -> BetaThresholds:
@@ -263,7 +255,7 @@ def beta_thresholds_scaled(pp: PoshPencil, t: float) -> BetaThresholds:
     t = float(t)
     if not t > 0.0:
         raise PreconditionError("t must be positive")
-    j1_norm = spectral_norm(pp.j1)
+    j1_norm = pp.norm("j1")
     strip = None
     lam_min_r2, slack = psd_spectrum(pp.r2)
     if j1_norm > 0.0 and lam_min_r2 > slack:
@@ -372,7 +364,7 @@ def _definite_rotation(a: np.ndarray, margin: float) -> float | None:
     mids = cuts + np.diff(np.append(cuts, cuts[:1] + 2.0 * math.pi)) / 2.0
     shift = margin * np.eye(a.shape[0])
     for theta in mids if cuts.size else (0.0,):
-        if is_positive_definite(_hermitized(cmath.exp(1j * theta) * a) - shift):
+        if is_positive_definite(hermitian_part(cmath.exp(1j * theta) * a) - shift):
             return float(theta) % (2.0 * math.pi)
     return None
 
@@ -396,11 +388,11 @@ def _two_vector_solve(a: np.ndarray, p, q, minimize: bool):
     """
     basis, _ = np.linalg.qr(np.column_stack([p, q]))
     c = basis.conj().T @ a @ basis
-    lam, v = np.linalg.eigh(_hermitized(c))
+    lam, v = np.linalg.eigh(hermitian_part(c))
     lo, hi = min(float(lam[0]), 0.0), max(float(lam[1]), 0.0)
     if hi == lo:
         return None
-    im = v.conj().T @ _hermitized(-1j * c) @ v
+    im = v.conj().T @ hermitian_part(-1j * c) @ v
     mid = hi * im[0, 0].real - lo * im[1, 1].real
     amp = 2.0 * math.sqrt(-lo * hi) * abs(im[0, 1])
     cos = -1.0 if minimize or amp == 0.0 else min(1.0, max(-1.0, -mid / amp))
@@ -423,8 +415,8 @@ def _isotropic_vector(a: np.ndarray, margin: float):
     """
 
     def support(phi):
-        y = np.linalg.eigh(_hermitized(cmath.exp(-1j * phi) * a))[1][:, -1]
-        return y, complex(y.conj() @ a @ y)
+        y = np.linalg.eigh(hermitian_part(cmath.exp(-1j * phi) * a))[1][:, -1]
+        return y, complex(quadratic_forms(y[None, :], a)[0])
 
     points = {phi: support(phi) for phi in (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)}
     for _ in range(SUPPORT_STEPS):
@@ -486,11 +478,13 @@ def _positive_real_verdict(h1, h2, margin: float) -> ChainVerdict:
             detail = f"forms of -iJ1, -iJ2 of one sign on W (dim {k}), definite sum"
             return ChainVerdict(True, "exact", detail)
     # an eigenvector of H1 or H2 whose two forms clearly differ in sign gives a point
-    for y in np.hstack([v1, v2]).T:
-        f1, f2 = (float(np.real(y.conj() @ h @ y)) for h in (h1, h2))
-        if f1 * f2 < 0.0 and min(abs(f1), abs(f2)) > margin:
-            detail = f"positive real range point {-f2 / f1:.4g} from W (dim {k})"
-            return ChainVerdict(False, "exact", detail)
+    ys = np.hstack([v1, v2]).T
+    f1, f2 = quadratic_forms(ys, h1).real, quadratic_forms(ys, h2).real
+    split = np.nonzero((f1 * f2 < 0.0) & (np.minimum(np.abs(f1), np.abs(f2)) > margin))[0]
+    if split.size:
+        point = -f2[split[0]] / f1[split[0]]
+        detail = f"positive real range point {point:.4g} from W (dim {k})"
+        return ChainVerdict(False, "exact", detail)
     return ChainVerdict(False, "exact", f"forms of -iJ1, -iJ2 on W (dim {k}) split in sign")
 
 
@@ -513,11 +507,11 @@ def kernel_verdicts(pp: PoshPencil) -> tuple:
         return close, close, close
     if k == 0:
         return ChainVerdict(True, "exact", dim), _OPEN, _OPEN
-    h1 = _hermitized(basis.conj().T @ (-1j * pp.j1) @ basis)
-    h2 = _hermitized(basis.conj().T @ (-1j * pp.j2) @ basis)
+    h1 = hermitian_part(basis.conj().T @ (-1j * pp.j1) @ basis)
+    h2 = hermitian_part(basis.conj().T @ (-1j * pp.j2) @ basis)
     # roundoff allowances scale with the whole pencil, as its rank decisions do
     mats = (pp.j1, pp.r1, pp.j2, pp.r2)
-    scale = max(spectral_norm(m) for m in mats)
+    scale = max(pp.norm(name) for name in ("j1", "r1", "j2", "r2"))
     margin = 16.0 * k * EPS * scale
     theta = _definite_rotation(h1 + 1j * h2, margin)
     y = None if theta is not None else _isotropic_vector(h1 + 1j * h2, margin)
@@ -526,7 +520,7 @@ def kernel_verdicts(pp: PoshPencil) -> tuple:
         detail = f"Re(exp(i*{theta:.4g})(H1 + iH2)) definite on W (dim {k})"
         d = ChainVerdict(True, "exact", detail)
     elif x is not None and all(
-        abs(x.conj() @ m @ x) <= 64.0 * pp.n * EPS * scale for m in mats
+        abs(quadratic_forms(x[None, :], m)[0]) <= 64.0 * pp.n * EPS * scale for m in mats
     ):
         d = ChainVerdict(False, "exact", f"common isotropic vector in W (dim {k})", witness=x)
     else:

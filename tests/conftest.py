@@ -1,4 +1,4 @@
-"""Shared test settings.
+"""Shared test settings and fixtures.
 
 Property tests run under one hypothesis profile: derandomized, so every run
 draws the same examples, and without an example database.  Hypothesis
@@ -7,12 +7,33 @@ the system temporary directory, so no .hypothesis/ directory is written
 into the checkout.
 """
 
+import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "pencillab-hypothesis")
 settings.register_profile("pencillab", derandomize=True, database=None, deadline=None)
 settings.load_profile("pencillab")
+
+
+@pytest.fixture
+def spectral_norm_calls(monkeypatch):
+    """The arrays passed to spectral_norm, patched in every pencillab module."""
+    from pencillab import core
+
+    seen = []
+    spectral_norm = core.spectral_norm
+
+    def recording(a):
+        seen.append(np.array(a))
+        return spectral_norm(a)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("pencillab.") and hasattr(module, "spectral_norm"):
+            monkeypatch.setattr(module, "spectral_norm", recording)
+    return seen

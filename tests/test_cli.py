@@ -1,6 +1,7 @@
 import builtins
 import hashlib
 import json
+import math
 
 import numpy as np
 import orjson
@@ -9,7 +10,12 @@ import pytest
 from pencillab import cli, kcf, localization, numrange
 from pencillab.cli import main
 from pencillab.matpoly import mgt_polynomial
-from pencillab.oracles import named_example, random_posh_pencil
+from pencillab.oracles import (
+    named_example,
+    random_posh_pencil,
+    random_psd_matrix,
+    random_skew_matrix,
+)
 
 
 def mat(m):
@@ -141,14 +147,21 @@ def test_bad_env_seed_is_parse_error(dissipative_posh, monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_beta_refuses_an_overflowing_hermitian_part(tmp_path, capsys):
-    # i*J1 is finite, but its Hermitian part (k + k*)/2 overflows
-    j1 = -1e308j * np.array([[0.5, 0.3], [0.3, -0.9]])
-    doc = {"j1": mat(j1), "r1": mat(np.eye(2)), "j2": mat(np.zeros((2, 2))), "r2": mat(np.eye(2))}
+def test_beta_near_the_float_limit_of_j1(tmp_path, capsys):
+    # k + k* overflows for k = i*J1, but its Hermitian part, halved first, is finite
+    s = np.array([[0.5, 0.3], [0.3, -0.9]])
+    doc = {
+        "j1": mat(-1e308j * s),
+        "r1": mat(np.eye(2)),
+        "j2": mat(np.zeros((2, 2))),
+        "r2": mat(np.eye(2)),
+    }
     path = tmp_path / "huge.posh.json"
     path.write_text(json.dumps(doc))
-    assert main(["beta", str(path)]) == 3
-    assert "not finite" in capsys.readouterr().err
+    assert main(["beta", str(path)]) == 0
+    fields = dict(word.split("=") for word in capsys.readouterr().out.split())
+    want = 2.0 / (-np.linalg.eigvalsh(s)[0] * 1e308)  # h0 = R1 + R2 = 2I
+    assert math.isclose(float(fields["beta_plus"]), want, rel_tol=1e-12)
 
 
 def test_validate_and_exit_codes(stable_posh, tmp_path, capsys):
@@ -364,3 +377,25 @@ def test_report_extracts_one_structure_from_a_plain_file(unstable_pencil, monkey
     assert doc["results"]["certify"]["eejjx_status"] == "falsified"
     assert doc["results"]["nocommon_chain"]["pencil_regular"]["detail"] == "Kronecker structure"
     assert len(calls) == 1
+
+
+def test_report_takes_each_coefficient_norm_once(tmp_path, spectral_norm_calls, capsys):
+    # J2 = J1/2 with R's of rank n/2: the spectral prover runs after the
+    # norm prover and the falsifier's threshold, and all of them read norms
+    rng = np.random.default_rng(3)
+    j1 = random_skew_matrix(rng, 6)
+    mats = {
+        "j1": j1,
+        "r1": random_psd_matrix(rng, 6, rank=3),
+        "j2": j1 / 2.0,
+        "r2": random_psd_matrix(rng, 6, rank=3),
+    }
+    path = tmp_path / "spectral.posh.json"
+    path.write_text(json.dumps({name: mat(m) for name, m in mats.items()}))
+    assert main(["report", str(path), "--samples", "200"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["results"]["certify"]["eejjx_status"] == "proved_by_spectral"
+    # the fingerprint reports all four, so each is taken exactly once
+    for name, m in mats.items():
+        taken = sum(a.shape == m.shape and np.array_equal(a, m) for a in spectral_norm_calls)
+        assert taken == 1, name

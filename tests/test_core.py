@@ -7,11 +7,12 @@ from pencillab.core import (
     DhPencil,
     Pencil,
     PoshPencil,
-    hermitian_split,
+    hermitian_part,
     is_positive_definite,
     posh_from_parts,
     quadratic_forms,
     reversal,
+    skew_part,
     spectral_norm,
     validate_posh,
 )
@@ -59,14 +60,17 @@ def test_reversal_swaps_eigenvalues():
     assert np.allclose(sorted(z.real for z in ev_r), [-0.5, -0.2])
 
 
-def test_hermitian_split_reconstructs():
+def test_hermitian_and_skew_parts_are_exact_and_finite():
     rng = np.random.default_rng(0)
-    for _ in range(20):
-        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        s = hermitian_split(m)
-        assert np.allclose(s.skew + s.herm, m)
-        assert np.allclose(s.skew.conj().T, -s.skew)
-        assert np.allclose(s.herm.conj().T, s.herm)
+    for scale in (1.0, 1.7e308):
+        for _ in range(20):
+            m = rng.uniform(-1.0, 1.0, (4, 4)) + 1j * rng.uniform(-1.0, 1.0, (4, 4))
+            m *= scale
+            herm, skew = hermitian_part(m), skew_part(m)
+            assert np.array_equal(herm.conj().T, herm)
+            assert np.array_equal(skew.conj().T, -skew)
+            assert np.all(np.isfinite(herm)) and np.all(np.isfinite(skew))
+            assert np.allclose(skew / scale + herm / scale, m / scale)
 
 
 def test_posh_pencil_validation():

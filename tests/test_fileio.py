@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from pencillab.cli import main
 from pencillab.core import Pencil, PoshPencil
 from pencillab.errors import InputFormatError
 from pencillab.fileio import (
@@ -159,6 +160,29 @@ def test_load_pencil_file_errors(tmp_path):
         load_pencil_file(str(tmp_path / "missing.json"))
 
 
+ONE = [[[1, 0]]]
+DECLARING_DOCS = {
+    "posh": ({"j1": [[[0, 0]]], "r1": ONE, "j2": [[[0, 0]]], "r2": ONE}, ("n",)),
+    "plain": ({"lead": ONE, "const": ONE}, ("n",)),
+    "polynomial": ({"coefficients": [ONE, ONE]}, ("n", "degree")),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DECLARING_DOCS))
+@pytest.mark.parametrize("value", ["abc", [1], 1.0, 2.7, True, None])
+def test_declared_sizes_must_be_json_integers(kind, value, tmp_path):
+    doc, keys = DECLARING_DOCS[kind]
+    load = load_polynomial_file if kind == "polynomial" else load_pencil_file
+    for key in keys:
+        path = write(tmp_path, f"{kind}.json", {**doc, key: value})
+        with pytest.raises(InputFormatError, match=f"declared {key} must be an integer"):
+            load(path)
+        assert main(["report", path]) == 2
+    # the same documents load when each key declares the right integer
+    sizes = {"n": 1, "degree": 1}
+    load(write(tmp_path, f"{kind}.json", {**doc, **{key: sizes[key] for key in keys}}))
+
+
 # strings where a float parser is most likely to round wrongly
 HARD_NUMBERS = (
     "4.9e-324",
@@ -277,6 +301,19 @@ def test_regions_json_round_trip(tmp_path):
     wrong_kind.write_text('[{"type": "disk", "beta": 1, "sign": "plus"}]')
     with pytest.raises(InputFormatError):
         parse_regions_json(str(wrong_kind))
+    good = {"type": "pacman", "beta": 2, "sign": "minus"}
+    for bad in (
+        {"type": "pacman", "sign": "plus"},
+        {"type": "pacman", "beta": "abc", "sign": "plus"},
+        {"type": "pacman", "beta": [1], "sign": "plus"},
+        {"type": "pacman", "beta": True, "sign": "plus"},
+        {"type": "pacman", "beta": -1.0, "sign": "plus"},
+        {"type": "pacman", "beta": 1.0, "sign": "up"},
+    ):
+        path = tmp_path / "bad_entry.json"
+        path.write_text(json.dumps([good, bad]))
+        with pytest.raises(InputFormatError, match=r"bad_entry\.json\[1\]: "):
+            parse_regions_json(str(path))
 
 
 def test_report_json_is_deterministic():

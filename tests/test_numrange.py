@@ -6,7 +6,7 @@ import pytest
 
 from pencillab import numrange
 from pencillab.core import EPS, Pencil, PoshPencil, is_positive_definite
-from pencillab.errors import InputFormatError, PreconditionError, RankAmbiguityError
+from pencillab.errors import InputFormatError, RankAmbiguityError
 from pencillab.kcf import kronecker_structure
 from pencillab.localization import lhp_certificate
 from pencillab.numrange import (
@@ -98,10 +98,12 @@ def test_definiteness_threshold_on_the_empty_pair():
     assert definiteness_threshold(np.zeros((0, 0)), np.zeros((0, 0))) == math.inf
 
 
-def test_definiteness_threshold_rejects_an_overflowing_hermitian_part():
-    h1 = 1e308 * np.array([[0.5, 0.3], [0.3, -0.9]])
-    with pytest.raises(PreconditionError):
-        definiteness_threshold(np.eye(2), h1)
+def test_definiteness_threshold_near_the_float_limit_of_h1():
+    # h1 + h1* overflows, but its Hermitian part, halved first, is finite
+    s = np.array([[0.5, 0.3], [0.3, -0.9]])
+    ref = 1.0 / (-np.linalg.eigvalsh(s)[0] * 1e308)  # 1/(0.9615773...e308)
+    t = definiteness_threshold(np.eye(2), 1e308 * s)
+    assert ref * (1.0 - 1e-12) <= t <= ref
 
 
 def test_definiteness_threshold_matches_diagonal_pairs():
@@ -205,6 +207,15 @@ def test_beta_thresholds_match_the_per_call_thresholds_bit_for_bit():
     assert bt.beta_minus == definiteness_threshold(h0, -k)
     assert bt.lower_bound == np.linalg.svd(h0, compute_uv=False)[-1] / np.linalg.norm(pp.j1, 2)
     assert 0.0 < bt.beta_plus < math.inf and 0.0 < bt.beta_minus < math.inf
+
+
+def test_beta_thresholds_take_only_the_norm_of_j1(spectral_norm_calls):
+    # coefficient norms are computed lazily, one at a time, and kept
+    pp = random_posh_pencil(np.random.default_rng(6), 8, pd_sum=True)
+    first = beta_thresholds(pp)
+    assert len(spectral_norm_calls) == 1 and np.array_equal(spectral_norm_calls[0], pp.j1)
+    assert beta_thresholds(pp) == first and len(spectral_norm_calls) == 1
+    assert pp.norm("j1") == np.linalg.norm(pp.j1, 2)
 
 
 def test_beta_thresholds_zero_j1_gives_infinite():
