@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 parse error, 3 precondition failure,
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -37,13 +38,11 @@ from .fileio import (
     atomic_write_text,
     complex_to_json,
     float_to_json,
-    load_json_document,
+    load_input_file,
     load_pencil_file,
     load_polynomial_file,
     matrix_to_json,
-    pencil_from_document,
     points_to_csv,
-    polynomial_from_document,
     region_to_json,
     regions_to_json,
     report_to_json,
@@ -460,23 +459,21 @@ def cmd_lin(args) -> int:
 
 def cmd_report(args) -> int:
     seed = _resolve_seed(args)
-    doc, digest = load_json_document(args.file)
-    if "coefficients" in doc:
-        poly = polynomial_from_document(doc, args.file)
+    obj, digest = load_input_file(args.file)
+    if isinstance(obj, MatrixPolynomial):
         results = {}
-        idx, bound = polynomial_index(poly)
+        idx, bound = polynomial_index(obj)
         results["polynomial_index"] = {
             "computed": idx,
             "degree_bound": bound,
             "evidence": "exact",
         }
-        if poly.degree == 3:
-            results["cubic_stability"] = _cubic_json(cubic_stability(poly))
-        rep = _report(args.file, digest, poly, results, seed=seed)
+        if obj.degree == 3:
+            results["cubic_stability"] = _cubic_json(cubic_stability(obj))
+        rep = _report(args.file, digest, obj, results, seed=seed)
         _emit(args, rep)
         return EXIT_OK
 
-    obj = pencil_from_document(doc, args.file)
     results = {}
     try:
         pp = _as_posh(obj)
@@ -524,7 +521,9 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser unchanged
     parser = argparse.ArgumentParser(
         prog="pencil-lab",
         description="Analyze matrix pencils whose coefficients have PSD Hermitian parts.",
@@ -546,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
                 default=GENERAL_Q,
                 help="which dH characterization to use",
             )
-        p.set_defaults(func=func)
+        p.set_defaults(handler=func.__name__)
         return p
 
     add("validate", cmd_validate, "check the posH structure of a pencil file")
@@ -574,14 +573,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as err:
         # argparse exits 2 on usage errors, which matches the parse-error code
         return int(err.code or 0)
     try:
-        return args.func(args)
+        # looked up by name on each call, so the parser, built once, still
+        # dispatches through the module binding as every other call does
+        return globals()[args.handler](args)
     except (InputFormatError, DimensionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE

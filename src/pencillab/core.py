@@ -246,7 +246,10 @@ class PoshPencil(_CoefficientNorms):
         return all(not np.any(m.imag) for m in (self.j1, self.r1, self.j2, self.r2))
 
     def pencil(self) -> Pencil:
-        return Pencil(self.j1 + self.r1, self.j2 + self.r2, PLUS)
+        """The plus-convention Pencil, built on first use and kept, so callers share its norms."""
+        if "_pencil" not in self.__dict__:
+            self.__dict__["_pencil"] = Pencil(self.j1 + self.r1, self.j2 + self.r2, PLUS)
+        return self.__dict__["_pencil"]
 
 
 @dataclass(frozen=True, eq=False)

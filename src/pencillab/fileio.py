@@ -5,6 +5,7 @@ timestamps, sorted keys, repr-stable floats.  Complex scalars travel as
 [re, im] pairs.
 """
 
+import gc
 import hashlib
 import json
 import math
@@ -46,17 +47,35 @@ def _read_bytes(path: str) -> bytes:
         raise InputFormatError(f"cannot read {path}: {err}") from err
 
 
-def load_json_document(path: str) -> tuple[dict, str]:
-    """Parse a JSON file, annotating syntax errors with their position.
+def _load(path: str, build) -> tuple:
+    """build(doc, path) on the JSON document in file path, and the file's sha256.
 
-    Returns the document and the sha256 hex digest of the bytes it was
-    decoded from, so the file is read once.
+    The cyclic garbage collector is paused from the decode until the document
+    is dropped, so no collection walks the many [re, im] lists while they are
+    decoded and converted to arrays; a decoded document has no reference
+    cycles, so such a collection could free nothing.  The pause is
+    process-wide: collections that other threads would start are put off
+    until the window closes, and none is skipped.  A collector that was
+    disabled on entry stays disabled.
     """
     raw = _read_bytes(path)
-    doc = _decode_json(raw, path)
+    digest = hashlib.sha256(raw).hexdigest()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        doc = _decode_json(raw, path)
+        value = build(doc, path)
+        # freed by reference counting while the collector is still paused
+        del doc
+    finally:
+        if enabled:
+            gc.enable()
+    return value, digest
+
+
+def _require_object(doc, path: str):
     if not isinstance(doc, dict):
         raise InputFormatError(f"{path}: top-level value must be an object")
-    return doc, hashlib.sha256(raw).hexdigest()
 
 
 def _parse_complex(value, where: str) -> complex:
@@ -126,8 +145,22 @@ def matrix_to_json(mat) -> list:
 
 def load_pencil_file(path: str) -> tuple:
     """Load a pencil document: a PoshPencil or a plain Pencil, and the file's sha256."""
-    doc, digest = load_json_document(path)
-    return pencil_from_document(doc, path), digest
+    return _load(path, pencil_from_document)
+
+
+def load_input_file(path: str) -> tuple:
+    """Load any analysis input and the file's sha256.
+
+    A document with a coefficients key gives a MatrixPolynomial; any other
+    gives a pencil, as :func:`load_pencil_file` does.
+    """
+    return _load(path, _input_from_document)
+
+
+def _input_from_document(doc, path: str):
+    if isinstance(doc, dict) and "coefficients" in doc:
+        return polynomial_from_document(doc, path)
+    return pencil_from_document(doc, path)
 
 
 def pencil_from_document(doc: dict, path: str):
@@ -136,6 +169,7 @@ def pencil_from_document(doc: dict, path: str):
     Documents with j1/r1/j2/r2 keys produce a PoshPencil; documents with
     lead/const produce a Pencil in the stated convention.
     """
+    _require_object(doc, path)
     if all(k in doc for k in ("j1", "r1", "j2", "r2")):
         parts = [parse_matrix(doc[k], f"{path}:{k}") for k in ("j1", "r1", "j2", "r2")]
         n = parts[0].shape[0]
@@ -165,12 +199,12 @@ def pencil_from_document(doc: dict, path: str):
 
 def load_polynomial_file(path: str) -> tuple[MatrixPolynomial, str]:
     """Load a polynomial document: the MatrixPolynomial and the file's sha256."""
-    doc, digest = load_json_document(path)
-    return polynomial_from_document(doc, path), digest
+    return _load(path, polynomial_from_document)
 
 
 def polynomial_from_document(doc: dict, path: str) -> MatrixPolynomial:
     """The matrix polynomial a decoded document holds; path names it in errors."""
+    _require_object(doc, path)
     if "coefficients" not in doc:
         raise InputFormatError(f"{path}: missing 'coefficients'")
     coeffs = doc["coefficients"]
@@ -227,7 +261,10 @@ def regions_to_json(regions) -> str:
 
 
 def parse_regions_json(path: str) -> list:
-    doc = _decode_json(_read_bytes(path), path)
+    return _load(path, _regions_from_document)[0]
+
+
+def _regions_from_document(doc, path: str) -> list:
     if not isinstance(doc, list):
         raise InputFormatError(f"{path}: expected a list of region objects")
     out = []

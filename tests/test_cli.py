@@ -1,3 +1,4 @@
+import argparse
 import builtins
 import hashlib
 import json
@@ -399,3 +400,40 @@ def test_report_takes_each_coefficient_norm_once(tmp_path, spectral_norm_calls, 
     for name, m in mats.items():
         taken = sum(a.shape == m.shape and np.array_equal(a, m) for a in spectral_norm_calls)
         assert taken == 1, name
+
+
+def test_report_takes_the_norm_of_each_pencil_coefficient_once(
+    tmp_path, spectral_norm_calls, capsys
+):
+    # kronecker_structure and sample_numerical_range both read the norms of
+    # J1+R1 and J2+R2, through the one Pencil that PoshPencil.pencil() keeps
+    pp = random_posh_pencil(np.random.default_rng(4), 6, pd_sum=True)
+    path = tmp_path / "sum.posh.json"
+    path.write_text(json.dumps({k: mat(getattr(pp, k)) for k in ("j1", "r1", "j2", "r2")}))
+    assert main(["report", str(path), "--samples", "200"]) == 0
+    capsys.readouterr()
+    for m in (pp.j1 + pp.r1, pp.j2 + pp.r2):
+        assert sum(a.shape == m.shape and np.array_equal(a, m) for a in spectral_norm_calls) == 1
+
+
+def test_main_builds_its_parser_once(unstable_pencil, monkeypatch, capsys):
+    assert main(["kcf", unstable_pencil]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert main(["kcf", unstable_pencil]) == 0
+    assert built == []
+    capsys.readouterr()
+
+
+def test_main_dispatches_through_the_module_binding(unstable_pencil, monkeypatch, capsys):
+    # the parser outlives the call, but a rebound handler is still the one run
+    assert main(["kcf", unstable_pencil]) == 0
+    monkeypatch.setattr(cli, "cmd_kcf", lambda args: 7)
+    assert main(["kcf", unstable_pencil]) == 7
+    capsys.readouterr()

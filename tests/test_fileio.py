@@ -1,17 +1,21 @@
+import gc
 import hashlib
 import json
 import math
 import os
 
 import numpy as np
+import orjson
 import pytest
 
+from pencillab import fileio
 from pencillab.cli import main
 from pencillab.core import Pencil, PoshPencil
-from pencillab.errors import InputFormatError
+from pencillab.errors import InputFormatError, PreconditionError
 from pencillab.fileio import (
+    _decode_json,
     atomic_write_text,
-    load_json_document,
+    load_input_file,
     load_pencil_file,
     load_polynomial_file,
     matrix_to_json,
@@ -22,7 +26,9 @@ from pencillab.fileio import (
     render_scatter_svg,
     report_to_json,
 )
+from pencillab.matpoly import MatrixPolynomial
 from pencillab.numrange import PacmanRegion
+from pencillab.oracles import random_posh_pencil
 
 
 def write(tmp_path, name, doc):
@@ -215,7 +221,7 @@ def test_decoded_matrices_are_bit_identical_to_json(tmp_path):
     text = '{"m": [' + ", ".join(f"[{row}]" for row in rows) + "]}"
     path = tmp_path / "numbers.json"
     path.write_text(text)
-    doc, _ = load_json_document(str(path))
+    doc = _decode_json(path.read_bytes(), str(path))
     got = parse_matrix(doc["m"], "m")
     want = parse_matrix(json.loads(text)["m"], "m")
     assert got.shape == want.shape == (len(rows), 50)
@@ -259,6 +265,91 @@ def test_load_polynomial_file(tmp_path):
                 {"degree": 5, "coefficients": [[[[1, 0]]], [[[1, 0]]]]},
             )
         )
+
+
+def posh_doc(n, seed=0):
+    pp = random_posh_pencil(np.random.default_rng(seed), n)
+    return {k: matrix_to_json(getattr(pp, k)) for k in ("j1", "r1", "j2", "r2")}
+
+
+POLYNOMIAL_DOC = {"coefficients": [[[[1, 0]]], [[[0, 0]]], [[[1, 0]]]]}
+# each loader with a document it accepts and the type it builds from it
+LOADS = {
+    "pencil": (load_pencil_file, lambda: posh_doc(4), PoshPencil),
+    "polynomial": (load_polynomial_file, lambda: POLYNOMIAL_DOC, MatrixPolynomial),
+    "input-pencil": (load_input_file, lambda: posh_doc(4), PoshPencil),
+    "input-polynomial": (load_input_file, lambda: POLYNOMIAL_DOC, MatrixPolynomial),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOADS))
+def test_loaders_decode_and_convert_with_the_collector_paused(case, tmp_path, monkeypatch):
+    load, doc, kind = LOADS[case]
+    path = write(tmp_path, "in.json", doc())
+    seen = {"loads": [], "parse_matrix": []}
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            seen[name].append(gc.isenabled())
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(orjson, "loads", recording("loads", orjson.loads))
+    monkeypatch.setattr(fileio, "parse_matrix", recording("parse_matrix", fileio.parse_matrix))
+    assert gc.isenabled()
+    obj, digest = load(path)
+    assert isinstance(obj, kind)
+    with open(path, "rb") as fh:
+        assert digest == hashlib.sha256(fh.read()).hexdigest()
+    assert seen["loads"] == [False]
+    assert seen["parse_matrix"] and not any(seen["parse_matrix"])
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("load", [load_pencil_file, load_polynomial_file, load_input_file])
+def test_loaders_restore_the_collector_after_errors(load, tmp_path):
+    nan = tmp_path / "nan.json"
+    nan.write_bytes(b'{"m": [[[NaN, 0]]]}')
+    with pytest.raises(InputFormatError, match="line 1, column 10"):
+        load(str(nan))
+    assert gc.isenabled()
+    if load is not load_polynomial_file:
+        doc = posh_doc(4)
+        doc["r1"] = matrix_to_json(-np.eye(4))
+        with pytest.raises(PreconditionError, match="r1"):
+            load(write(tmp_path, "not_psd.json", doc))
+        assert gc.isenabled()
+
+
+@pytest.mark.parametrize("case", sorted(LOADS))
+def test_loaders_leave_a_disabled_collector_disabled(case, tmp_path):
+    load, doc, _ = LOADS[case]
+    path = write(tmp_path, "in.json", doc())
+    gc.disable()
+    try:
+        load(path)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_no_collection_starts_while_a_pencil_file_loads(tmp_path):
+    # about 16 500 decoded lists: 23 gen-0 collections at the default threshold
+    path = write(tmp_path, "n64.json", posh_doc(64))
+    starts = []
+
+    def callback(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(callback)
+    try:
+        load_pencil_file(path)
+    finally:
+        gc.callbacks.remove(callback)
+    assert starts == []
 
 
 def test_atomic_write_and_hash(tmp_path):
