@@ -18,7 +18,6 @@ from .core import (
     is_positive_definite,
     posh_from_parts,
     psd_spectrum,
-    reversal,
     skew_part,
     spectral_norm,
     validate_posh,
@@ -91,7 +90,6 @@ __all__ = [
     "is_positive_definite",
     "posh_from_parts",
     "psd_spectrum",
-    "reversal",
     "skew_part",
     "spectral_norm",
     "validate_posh",

@@ -64,7 +64,6 @@ from .numrange import (
     PacmanRegion,
     beta_thresholds,
     beta_thresholds_scaled,
-    kernel_verdicts,
     nocommon_chain_report,
     sample_numerical_range,
 )
@@ -497,14 +496,8 @@ def cmd_report(args) -> int:
                 max(z.real for z in sample.points) if sample.points else None
             ),
         }
-        # both read only ks.regular, which the splitting and the convention keep
-        kernel = kernel_verdicts(pp)
-        cert = lhp_certificate(
-            pp, falsify_budget=args.samples, seed=seed, structure=ks, kernel=kernel
-        )
-        results["certify"] = _certificate_json(cert)
-        chain = nocommon_chain_report(pp, structure=ks, kernel=kernel)
-        results["nocommon_chain"] = _chain_json(chain)
+        results["certify"] = _certificate_json(lhp_certificate(pp, falsify_budget=args.samples, seed=seed))
+        results["nocommon_chain"] = _chain_json(nocommon_chain_report(pp))
     rep = _report(
         args.file,
         digest,

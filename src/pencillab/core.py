@@ -195,11 +195,6 @@ class Pencil(_CoefficientNorms):
         return z * self.lead - self.constant
 
 
-def reversal(p: Pencil) -> Pencil:
-    """Swap the roles of the coefficients; eigenvalues map to reciprocals."""
-    return Pencil(p.constant, p.lead, p.convention)
-
-
 @dataclass(frozen=True, eq=False)
 class PoshPencil(_CoefficientNorms):
     """Plus-convention pencil lambda(J1+R1) + (J2+R2).
@@ -250,6 +245,10 @@ class PoshPencil(_CoefficientNorms):
         if "_pencil" not in self.__dict__:
             self.__dict__["_pencil"] = Pencil(self.j1 + self.r1, self.j2 + self.r2, PLUS)
         return self.__dict__["_pencil"]
+
+    def source(self) -> Pencil:
+        """The pencil validate_posh split, else pencil(): its structure stands for this one's."""
+        return self.__dict__.get("_source") or self.pencil()
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,14 +309,16 @@ def validate_posh(p: Pencil) -> PoshPencil:
     Accepts either convention; a minus pencil is converted to plus first so
     the splitting always applies to lambda*lead + constant. Rejection names
     the offending coefficient (r1 for the lead, r2 for the constant) and
-    reports its smallest eigenvalue.
+    reports its smallest eigenvalue.  The result keeps p as its source().
     """
-    p = p.to_plus()
+    source, p = p, p.to_plus()
     if not p.is_square:
         raise DimensionError(f"pencil must be square, got shape {p.shape}")
-    return PoshPencil(
+    pp = PoshPencil(
         skew_part(p.lead), hermitian_part(p.lead), skew_part(p.constant), hermitian_part(p.constant)
     )
+    pp.__dict__["_source"] = source
+    return pp
 
 
 def posh_from_parts(j1, r1, j2, r2) -> PoshPencil:

@@ -411,7 +411,23 @@ def _finite_structure(E, A, kappa: float, carried_floor: float):
 
 
 def kronecker_structure(p: Pencil) -> KroneckerStructure:
-    """Full Kronecker block data of a (possibly rectangular) pencil."""
+    """Full Kronecker block data of a (possibly rectangular) pencil.
+
+    Kept on p; so is a refusal, which every later call raises again.
+    """
+    if "_structure" not in p.__dict__:
+        try:
+            p.__dict__["_structure"] = _escalated_structure(p)
+        except RankAmbiguityError as err:
+            p.__dict__["_structure"] = err
+    kept = p.__dict__["_structure"]
+    if isinstance(kept, RankAmbiguityError):
+        # a fresh traceback on each raise, so tracebacks do not pile up on the kept error
+        raise kept.with_traceback(None)
+    return kept
+
+
+def _escalated_structure(p: Pencil) -> KroneckerStructure:
     m = p.to_minus()
     E = np.array(m.lead)
     A = np.array(m.constant)

@@ -35,7 +35,7 @@ from .core import (
     spectral_norm,
 )
 from .errors import PreconditionError, RankAmbiguityError
-from .kcf import KroneckerStructure, kronecker_structure
+from .kcf import kronecker_structure
 from .numrange import common_kernel, kernel_verdicts
 
 QUADFORM_TOL = 1e-10
@@ -320,13 +320,7 @@ class LhpCertificate:
                 raise PreconditionError("eigenvalue conclusion without a valid route")
 
 
-def lhp_certificate(
-    pp: PoshPencil,
-    falsify_budget: int = 2000,
-    seed: int = 0,
-    structure: KroneckerStructure | None = None,
-    kernel: tuple | None = None,
-) -> LhpCertificate:
+def lhp_certificate(pp: PoshPencil, falsify_budget: int = 2000, seed: int = 0) -> LhpCertificate:
     """Run the provers and hypothesis routes on one pencil.
 
     The cheap norm prover runs first.  The falsifier's random-vector phase
@@ -343,10 +337,8 @@ def lhp_certificate(
     range in the closed left half plane, which holds exactly when the forms
     of -iJ1 and -iJ2 never take opposite signs (numerical range localized).
     The last two routes need a regular pencil.  Regularity is read from
-    structure, a Kronecker structure of the pencil in either convention,
-    computed here when not given; an extraction that refuses leaves the
-    route at none.  Condition (d) is read from kernel, the result of
-    kernel_verdicts(pp), computed here when not given.
+    the Kronecker structure of pp.source(); an extraction that refuses
+    leaves the route at none.  Condition (d) is read from kernel_verdicts(pp).
     """
     notes = []
     status = None
@@ -373,7 +365,7 @@ def lhp_certificate(
         notes.append("provers inconclusive and no violating vector found")
         return LhpCertificate("unknown", "none", "none", "none", None, tuple(notes))
 
-    kernels, _, isotropic = kernel_verdicts(pp) if kernel is None else kernel
+    kernels, _, isotropic = kernel_verdicts(pp)
     if kernels.value is True or isotropic.value is True:
         notes.append(
             "trivial intersection of ker R1 and ker R2"
@@ -384,12 +376,12 @@ def lhp_certificate(
             status, "no_isotropic", "numrange_in_lhp", "exact", None, tuple(notes)
         )
 
-    if structure is None:
-        try:
-            structure = kronecker_structure(pp.pencil())
-        except RankAmbiguityError as exc:
-            notes.append(f"regularity of the pencil undecided: {exc}")
-    if structure is not None and structure.regular:
+    try:
+        regular = kronecker_structure(pp.source()).regular
+    except RankAmbiguityError as exc:
+        regular = False
+        notes.append(f"regularity of the pencil undecided: {exc}")
+    if regular:
         notes.append("pencil regular by its Kronecker structure")
         try:
             ks = kronecker_structure(Pencil(pp.j1, pp.j2, PLUS))
@@ -494,7 +486,7 @@ def regularity_conditions_report(pp: PoshPencil) -> RegularityConditionsReport:
     not computable).  Every regularity is read from a Kronecker structure,
     so an ambiguous rank decision raises RankAmbiguityError.
     """
-    p_regular = _pencil_regular(pp.j1 + pp.r1, pp.j2 + pp.r2)
+    p_regular = kronecker_structure(pp.source()).regular
     rr = _pencil_regular(pp.r1, pp.r2)
     jj = _pencil_regular(pp.j1, pp.j2)
     r1j2 = _pencil_regular(pp.r1, pp.j2)

@@ -26,7 +26,6 @@ from .core import (
     is_positive_definite,
     psd_spectrum,
     quadratic_forms,
-    spectral_norm,
 )
 from .errors import (
     DimensionError,
@@ -34,7 +33,7 @@ from .errors import (
     PreconditionError,
     RankAmbiguityError,
 )
-from .kcf import KroneckerStructure, kronecker_structure
+from .kcf import kronecker_structure
 
 DENOMINATOR_CUTOFF = 1e-12
 EMISSION_RESIDUAL = 1e-10
@@ -294,10 +293,11 @@ def _kernel_with_gap(matrices) -> tuple:
     if n == 0:
         return np.zeros((0, 0), dtype=np.complex128), math.inf
     stack = np.vstack(mats)
-    scale = spectral_norm(stack)
+    _, sv, vh = np.linalg.svd(stack)
+    # the first singular value is the spectral norm; a stack of no rows has none
+    scale = float(sv[0]) if sv.size else 0.0
     if scale == 0.0:
         return np.eye(n, dtype=np.complex128), math.inf
-    _, sv, vh = np.linalg.svd(stack)
     tol = max(stack.shape) * EPS * scale * 16.0
     rank = int(np.count_nonzero(sv > tol))
     kept = sv[rank - 1] / tol if rank else math.inf
@@ -497,8 +497,15 @@ def kernel_verdicts(pp: PoshPencil) -> tuple:
     exactly when 0 is not in the field of values of H1 + iH2: proved by a
     definite rotation, refuted by a witness x = By checked on all four
     coefficients.  For W = {0}, (b) and (d) are left to the implications
-    from (a); a close rank gap or a close call on (d) gives None.
+    from (a); a close rank gap or a close call on (d) gives None.  The
+    verdicts are decided on the first call and kept on pp.
     """
+    if "_kernel_verdicts" not in pp.__dict__:
+        pp.__dict__["_kernel_verdicts"] = _decide_kernel_verdicts(pp)
+    return pp.__dict__["_kernel_verdicts"]
+
+
+def _decide_kernel_verdicts(pp: PoshPencil) -> tuple:
     basis, gap = _kernel_with_gap([pp.r1, pp.r2])
     k = basis.shape[1]
     dim = f"dim(ker R1 n ker R2) = {k}"
@@ -529,31 +536,24 @@ def kernel_verdicts(pp: PoshPencil) -> tuple:
     return ChainVerdict(False, "exact", dim), _positive_real_verdict(h1, h2, margin), d
 
 
-def nocommon_chain_report(
-    pp: PoshPencil,
-    structure: KroneckerStructure | None = None,
-    kernel: tuple | None = None,
-) -> NocommonChainReport:
+def nocommon_chain_report(pp: PoshPencil) -> NocommonChainReport:
     """Evaluate the condition chain (a) through (e) on one pencil.
 
-    (a), (b) and (d) are exact tests on W = ker R1 n ker R2, given as
-    kernel, the result of kernel_verdicts(pp), or computed.  (c) has no
-    test of its own: it comes from the implications alone, so it is None
-    when (b) is false and (d) is true.  (e) reads the regularity of the
-    Kronecker structure of the pencil, in either convention, given as
-    structure or computed; when the extraction refuses, (e) stays open.
-    The implications then fill open verdicts, and a conflict between two
-    decided verdicts is noted.
+    (a), (b) and (d) are exact tests on W = ker R1 n ker R2, read from
+    kernel_verdicts(pp).  (c) has no test of its own: it comes from the
+    implications alone, so it is None when (b) is false and (d) is true.
+    (e) reads the regularity of the Kronecker structure of pp.source();
+    when the extraction refuses, (e) stays open.  The implications then
+    fill open verdicts, and a conflict between two decided verdicts is
+    noted.
     """
     notes = []
     real_case = pp.is_real
-    a, b, d = kernel_verdicts(pp) if kernel is None else kernel
+    a, b, d = kernel_verdicts(pp)
     c = ChainVerdict(None, "none", "no test of its own; open unless (b) or (d) implies it")
 
     try:
-        if structure is None:
-            structure = kronecker_structure(pp.pencil())
-        e = ChainVerdict(structure.regular, "exact", "Kronecker structure")
+        e = ChainVerdict(kronecker_structure(pp.source()).regular, "exact", "Kronecker structure")
     except RankAmbiguityError as exc:
         e = ChainVerdict(None, "none", f"rank ambiguity: {exc}")
 

@@ -8,7 +8,7 @@ import numpy as np
 import orjson
 import pytest
 
-from pencillab import cli, kcf, localization, numrange
+from pencillab import cli, kcf, numrange
 from pencillab.cli import main
 from pencillab.matpoly import mgt_polynomial
 from pencillab.oracles import (
@@ -325,16 +325,15 @@ def test_report_decides_the_kernel_conditions_once_per_file(
     stable_posh, dissipative_posh, monkeypatch, capsys
 ):
     calls = []
-    kernel_verdicts = numrange.kernel_verdicts
+    kernel_with_gap = numrange._kernel_with_gap
 
-    def counting(pp):
-        calls.append(pp)
-        return kernel_verdicts(pp)
+    def counting(matrices):
+        calls.append(matrices)
+        return kernel_with_gap(matrices)
 
-    for module in (cli, numrange, localization):
-        monkeypatch.setattr(module, "kernel_verdicts", counting)
-    # a proved certificate reads condition (d) from the chain's verdicts;
-    # a falsified one never reaches them
+    monkeypatch.setattr(numrange, "_kernel_with_gap", counting)
+    # a proved certificate reads condition (d) from the verdicts kept on the
+    # pencil, which the chain reads again; a falsified one never reaches them
     for path, status in ((stable_posh, "proved_by_"), (dissipative_posh, "falsified")):
         calls.clear()
         assert main(["report", path, "--samples", "50"]) == 0
@@ -362,15 +361,50 @@ def test_report_reads_its_input_once(unstable_pencil, tmp_path, monkeypatch, cap
     capsys.readouterr()
 
 
-def test_report_extracts_one_structure_from_a_plain_file(unstable_pencil, monkeypatch, capsys):
+def _count_extractions(monkeypatch) -> list:
+    """The pencils whose Kronecker structure is extracted, not read from a kept one."""
     calls = []
+    extract = kcf._escalated_structure
 
     def counting(p):
         calls.append(p)
-        return kcf.kronecker_structure(p)
+        return extract(p)
 
-    for module in (cli, numrange, localization):
-        monkeypatch.setattr(module, "kronecker_structure", counting)
+    monkeypatch.setattr(kcf, "_escalated_structure", counting)
+    return calls
+
+
+def _shared_kernel_file(tmp_path, kind: str, n: int = 6):
+    """A posH or minus-convention plain file, and its J1.
+
+    J2 = J1/2 real skew and PSD R1, R2 with one common kernel vector: the
+    spectral prover proves the condition and (d) fails on W, so the
+    certificate reads the pencil's regularity and takes the skew-structure
+    route.
+    """
+    rng = np.random.default_rng(n)
+    g = rng.standard_normal((n, n))
+    j1 = (g - g.T) / 2.0
+    k = rng.standard_normal(n)
+    proj = np.eye(n) - np.outer(k, k) / (k @ k)
+
+    def psd_killing_k():
+        f = proj @ rng.standard_normal((n, n))
+        m = f @ f.T / n
+        return (m + m.T) / 2.0
+
+    r1, r2 = psd_killing_k(), psd_killing_k()
+    if kind == "posh":
+        doc = {"j1": mat(j1), "r1": mat(r1), "j2": mat(j1 / 2.0), "r2": mat(r2)}
+    else:
+        doc = {"n": n, "convention": "minus", "lead": mat(j1 + r1), "const": mat(-(j1 / 2.0 + r2))}
+    path = tmp_path / f"shared.{kind}.json"
+    path.write_text(json.dumps(doc))
+    return str(path), j1
+
+
+def test_report_extracts_one_structure_from_a_plain_file(unstable_pencil, monkeypatch, capsys):
+    calls = _count_extractions(monkeypatch)
     assert main(["report", unstable_pencil, "--samples", "50"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["fingerprint"]["kind"] == "pencil"
@@ -378,6 +412,35 @@ def test_report_extracts_one_structure_from_a_plain_file(unstable_pencil, monkey
     assert doc["results"]["certify"]["eejjx_status"] == "falsified"
     assert doc["results"]["nocommon_chain"]["pencil_regular"]["detail"] == "Kronecker structure"
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind", ["posh", "plain"])
+def test_report_reads_the_pencil_structure_through_every_analysis_once(
+    kind, tmp_path, monkeypatch, capsys
+):
+    path, j1 = _shared_kernel_file(tmp_path, kind)
+    calls = _count_extractions(monkeypatch)
+    assert main(["report", path, "--samples", "200"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["certify"]["hypothesis_route"] == "skew_structure"
+    assert results["nocommon_chain"]["pencil_regular"]["detail"] == "Kronecker structure"
+    # the file's pencil, then lambda*J1 + J2 for the skew-structure route
+    assert len(calls) == 2
+    assert calls[0].convention == ("plus" if kind == "posh" else "minus")
+    assert np.allclose(calls[1].lead, j1)
+
+
+def test_certify_and_report_agree_on_a_plain_file(tmp_path, capsys):
+    # certify reads regularity from the file's pencil, as report does
+    path, _ = _shared_kernel_file(tmp_path, "plain")
+    out = tmp_path / "cert.json"
+    assert main(["certify", path, "--seed", "4", "--budget", "200", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["report", path, "--seed", "4", "--samples", "200"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    certify = json.loads(out.read_text())
+    assert certify["results"]["certify"]["hypothesis_route"] == "skew_structure"
+    assert certify["results"]["certify"] == report["results"]["certify"]
 
 
 def test_report_takes_each_coefficient_norm_once(tmp_path, spectral_norm_calls, capsys):

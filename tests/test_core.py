@@ -11,7 +11,6 @@ from pencillab.core import (
     is_positive_definite,
     posh_from_parts,
     quadratic_forms,
-    reversal,
     skew_part,
     spectral_norm,
     validate_posh,
@@ -21,7 +20,6 @@ from pencillab.errors import (
     PoshValidationError,
     PreconditionError,
 )
-from pencillab.oracles import finite_eigenvalues
 
 
 def test_pencil_conventions():
@@ -48,16 +46,6 @@ def test_pencil_arrays_frozen():
     p = Pencil(np.eye(2), np.zeros((2, 2)))
     with pytest.raises((ValueError, RuntimeError)):
         p.lead[0, 0] = 5.0
-
-
-def test_reversal_swaps_eigenvalues():
-    # plus pencil lambda*diag(1,1) + diag(2,5): eigenvalues -2, -5
-    p = Pencil(np.eye(2), np.diag([2.0, 5.0]))
-    ev = finite_eigenvalues(p)
-    assert np.allclose(sorted(z.real for z in ev), [-5.0, -2.0])
-    rev = reversal(p)
-    ev_r = finite_eigenvalues(rev)
-    assert np.allclose(sorted(z.real for z in ev_r), [-0.5, -0.2])
 
 
 def test_hermitian_and_skew_parts_are_exact_and_finite():
@@ -144,6 +132,17 @@ def test_validate_posh_accepts_minus_convention():
     b = validate_posh(p_minus)
     assert np.allclose(a.j2, b.j2)
     assert np.allclose(a.r2, b.r2)
+
+
+def test_a_split_pencil_keeps_the_pencil_it_came_from():
+    j = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    p_minus = Pencil(np.eye(2), -(j + np.eye(2)), "minus")
+    pp = validate_posh(p_minus)
+    assert pp.source() is p_minus
+    assert pp.pencil() is not p_minus
+    # a PoshPencil built from parts stands for its own pencil
+    built = PoshPencil(pp.j1, pp.r1, pp.j2, pp.r2)
+    assert built.source() is built.pencil()
 
 
 def test_posh_from_parts_projects_noise():

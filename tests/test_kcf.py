@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from pencillab import kcf
 from pencillab.core import EPS, Pencil, PoshPencil, spectral_norm
 from pencillab.errors import PreconditionError, RankAmbiguityError
 from pencillab.kcf import (
@@ -236,3 +237,44 @@ def test_empty_pencil():
     )
     assert ks.rows == 0 and ks.cols == 0
     assert ks.regular
+
+
+def _count_rungs(monkeypatch) -> list:
+    """One entry per rung of the kappa ladder that kronecker_structure climbs."""
+    calls = []
+    extract = kcf._extract_structure
+
+    def counting(*args):
+        calls.append(args)
+        return extract(*args)
+
+    monkeypatch.setattr(kcf, "_extract_structure", counting)
+    return calls
+
+
+def test_a_structure_is_kept_on_its_pencil(monkeypatch):
+    calls = _count_rungs(monkeypatch)
+    p = Pencil(np.eye(2), np.diag([1.0, 4.0]))
+    ks = kronecker_structure(p)
+    assert kronecker_structure(p) is ks
+    assert len(calls) == 1
+    # an equal pencil is another object, with a structure of its own
+    assert structures_match(kronecker_structure(Pencil(p.lead, p.constant)), ks)
+    assert len(calls) == 2
+
+
+def test_a_refusal_is_kept_and_raised_again(monkeypatch):
+    # the cluster phase cannot resolve a size-5 Jordan block under a
+    # condition-10 equivalence, so every rung of the ladder refuses
+    blocks = [BlockSpec("finite_jordan", 5, eigenvalue=0.0)] + [
+        BlockSpec("finite_jordan", 1, eigenvalue=complex(k, 2.0)) for k in range(-3, 4)
+    ]
+    p, _ = assemble_pencil(blocks, transform_condition_cap=10.0, seed=100)
+    calls = _count_rungs(monkeypatch)
+    with pytest.raises(RankAmbiguityError) as first:
+        kronecker_structure(p)
+    assert len(calls) == 4
+    with pytest.raises(RankAmbiguityError) as second:
+        kronecker_structure(p)
+    assert second.value is first.value
+    assert len(calls) == 4

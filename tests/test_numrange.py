@@ -7,7 +7,6 @@ import pytest
 from pencillab import numrange
 from pencillab.core import EPS, Pencil, PoshPencil, is_positive_definite
 from pencillab.errors import InputFormatError, RankAmbiguityError
-from pencillab.kcf import kronecker_structure
 from pencillab.localization import lhp_certificate
 from pencillab.numrange import (
     PacmanRegion,
@@ -15,6 +14,7 @@ from pencillab.numrange import (
     beta_thresholds_scaled,
     common_kernel,
     definiteness_threshold,
+    kernel_verdicts,
     nocommon_chain_report,
     pacman_excludes,
     rayleigh_point,
@@ -289,13 +289,6 @@ def test_shared_isotropic_vector_defeats_combinations(n):
     assert cert.hypothesis_route != "no_isotropic"
     rep = nocommon_chain_report(pp)
     assert rep.d.value is not True
-    # a structure passed in gives the certificate it would compute, notes included
-    given = lhp_certificate(
-        pp, falsify_budget=200, seed=1, structure=kronecker_structure(pp.pencil())
-    )
-    fields = ("eejjx_status", "hypothesis_route", "conclusion", "evidence", "notes")
-    assert [getattr(given, f) for f in fields] == [getattr(cert, f) for f in fields]
-    assert given.witness is None and cert.witness is None
 
 
 def test_chain_report_strictly_dissipative():
@@ -318,6 +311,27 @@ def test_chain_report_common_kernel():
     assert rep.a.value is False
     assert rep.d.value is False
     assert rep.e.value is False  # pencil is singular here
+
+
+def test_common_kernel_of_matrices_with_no_rows_is_everything():
+    assert np.array_equal(common_kernel([np.zeros((0, 3))]), np.eye(3))
+
+
+def test_kernel_verdicts_are_kept_on_the_pencil(monkeypatch):
+    calls = []
+    kernel_with_gap = numrange._kernel_with_gap
+
+    def counting(matrices):
+        calls.append(matrices)
+        return kernel_with_gap(matrices)
+
+    monkeypatch.setattr(numrange, "_kernel_with_gap", counting)
+    pp = random_shared_kernel_posh_pencil(np.random.default_rng(0), 4, 1)
+    verdicts = kernel_verdicts(pp)
+    assert kernel_verdicts(pp) is verdicts
+    assert nocommon_chain_report(pp).d is verdicts[2]
+    lhp_certificate(pp, falsify_budget=50)
+    assert len(calls) == 1
 
 
 def test_chain_evidence_ranks():

@@ -121,19 +121,29 @@ def test_edge_sizes_run_through_every_analysis(pp):
     n = pp.n
     ks = kronecker_structure(pp.pencil())
     assert (ks.rows, ks.cols) == (n, n)
-    if check_dh_equivalence(ks).holds:
-        assert realize_dh(ks).n == n
-    beta_thresholds(pp)
-    cert = lhp_certificate(pp, falsify_budget=50)
-    assert cert.eejjx_status in (
+    assert kronecker_structure(pp.pencil()) is ks
+    dh = check_dh_equivalence(ks)
+    assert check_dh_equivalence(ks) == dh
+    if dh.holds:
+        first, second = realize_dh(ks), realize_dh(ks)
+        assert first.n == n
+        assert all(np.array_equal(getattr(first, k), getattr(second, k)) for k in "ejrq")
+    assert beta_thresholds(pp) == beta_thresholds(pp)
+    certs = [lhp_certificate(pp, falsify_budget=50) for _ in range(2)]
+    fields = ("eejjx_status", "hypothesis_route", "conclusion", "evidence", "notes")
+    assert [getattr(certs[0], f) for f in fields] == [getattr(certs[1], f) for f in fields]
+    assert np.array_equal(certs[0].witness, certs[1].witness)
+    assert certs[0].eejjx_status in (
         "proved_by_norms",
         "proved_by_kronecker",
         "proved_by_spectral",
         "falsified",
         "unknown",
     )
-    chain = nocommon_chain_report(pp, structure=ks)
+    chain = nocommon_chain_report(pp)
+    assert nocommon_chain_report(pp) == chain
     regularity = regularity_conditions_report(pp)
+    assert regularity_conditions_report(pp) == regularity
     assert chain.e.value is ks.regular
     assert regularity.p_regular is ks.regular
 
