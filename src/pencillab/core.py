@@ -246,6 +246,12 @@ class PoshPencil(_CoefficientNorms):
             self.__dict__["_pencil"] = Pencil(self.j1 + self.r1, self.j2 + self.r2, PLUS)
         return self.__dict__["_pencil"]
 
+    def skew_pencil(self) -> Pencil:
+        """The plus-convention Pencil lambda*J1 + J2, built on first use and kept like pencil()."""
+        if "_skew_pencil" not in self.__dict__:
+            self.__dict__["_skew_pencil"] = Pencil(self.j1, self.j2, PLUS)
+        return self.__dict__["_skew_pencil"]
+
     def source(self) -> Pencil:
         """The pencil validate_posh split, else pencil(): its structure stands for this one's."""
         return self.__dict__.get("_source") or self.pencil()

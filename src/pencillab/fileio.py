@@ -237,11 +237,23 @@ def atomic_write_text(path: str, text: str):
 
 
 def points_to_csv(points) -> str:
-    """CSV text of Python complex points, one repr-exact re,im row each."""
-    lines = ["re,im"]
-    for z in points:
-        lines.append(f"{z.real!r},{z.imag!r}")
-    return "\n".join(lines) + "\n"
+    """CSV text of complex points, one re,im row each, byte for byte as repr.
+
+    orjson prints every float as its shortest round-trip digits, as repr
+    does, and differs from repr only in exponent notation, which repr uses
+    outside 1e-4 <= |v| < 1e16.  So all rows are printed by one orjson call,
+    and only the rows with a nonzero value outside [1e-4, 1e16), or with
+    a nan or inf (null to orjson), are printed again with repr.
+    """
+    xy = np.ascontiguousarray(points, dtype=np.complex128).view(np.float64).reshape(-1, 2)
+    if not len(xy):
+        return "re,im\n"
+    rows = orjson.dumps(xy, option=orjson.OPT_SERIALIZE_NUMPY).decode()[2:-2].split("],[")
+    size = np.abs(xy)
+    notation = ~np.isfinite(xy) | ((xy != 0.0) & ((size < 1e-4) | (size >= 1e16)))
+    for k in np.flatnonzero(notation.any(axis=1)).tolist():
+        rows[k] = f"{xy[k, 0].item()!r},{xy[k, 1].item()!r}"
+    return "re,im\n" + "\n".join(rows) + "\n"
 
 
 def float_to_json(value):

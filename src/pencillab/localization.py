@@ -384,7 +384,7 @@ def lhp_certificate(pp: PoshPencil, falsify_budget: int = 2000, seed: int = 0) -
     if regular:
         notes.append("pencil regular by its Kronecker structure")
         try:
-            ks = kronecker_structure(Pencil(pp.j1, pp.j2, PLUS))
+            ks = kronecker_structure(pp.skew_pencil())
         except RankAmbiguityError as exc:
             ks = None
             notes.append(f"skew pencil structure ambiguous: {exc}")
@@ -488,7 +488,7 @@ def regularity_conditions_report(pp: PoshPencil) -> RegularityConditionsReport:
     """
     p_regular = kronecker_structure(pp.source()).regular
     rr = _pencil_regular(pp.r1, pp.r2)
-    jj = _pencil_regular(pp.j1, pp.j2)
+    jj = kronecker_structure(pp.skew_pencil()).regular
     r1j2 = _pencil_regular(pp.r1, pp.j2)
     r2j1 = _pencil_regular(pp.r2, pp.j1)
     scale = max(pp.norm("j1") + pp.norm("j2"), pp.norm("r1") + pp.norm("r2"), 1.0)

@@ -10,6 +10,7 @@ import pytest
 
 from pencillab import cli, kcf, numrange
 from pencillab.cli import main
+from pencillab.fileio import load_pencil_file
 from pencillab.matpoly import mgt_polynomial
 from pencillab.oracles import (
     named_example,
@@ -130,6 +131,22 @@ def test_numrange_deterministic_for_seed(dissipative_posh, tmp_path):
     main(["numrange", dissipative_posh, "--samples", "100", "--seed", "5", "--out", str(a)])
     main(["numrange", dissipative_posh, "--samples", "100", "--seed", "5", "--out", str(b)])
     assert a.read_text() == b.read_text()
+
+
+def test_numrange_csv_is_the_repr_of_each_sampled_point(tmp_path, capsys):
+    pp = random_posh_pencil(np.random.default_rng(32), 32)
+    path = tmp_path / "n32.posh.json"
+    path.write_text(json.dumps({name: mat(getattr(pp, name)) for name in ("j1", "r1", "j2", "r2")}))
+    out = tmp_path / "pts.csv"
+    assert main(["numrange", str(path), "--samples", "5000", "--seed", "9", "--out", str(out)]) == 0
+    capsys.readouterr()
+    # the reference is sampled here, not read from a stored hash, so it
+    # holds whatever BLAS rounds the sampler's products
+    loaded, _ = load_pencil_file(str(path))
+    sample = numrange.sample_numerical_range(loaded.pencil(), 5000, 9)
+    assert len(sample.points) > 4000
+    expected = "re,im\n" + "".join(f"{z.real!r},{z.imag!r}\n" for z in sample.points)
+    assert out.read_bytes() == expected.encode("utf-8")
 
 
 def test_seed_precedence(dissipative_posh, tmp_path, monkeypatch):

@@ -376,6 +376,36 @@ def test_points_csv_format():
     assert "\r" not in text
 
 
+def _repr_csv(points) -> str:
+    """The per-row repr CSV that points_to_csv must match byte for byte."""
+    return "re,im\n" + "".join(f"{z.real!r},{z.imag!r}\n" for z in points)
+
+
+def test_points_csv_matches_repr_on_random_bit_patterns():
+    # random 64-bit patterns cover every exponent, subnormals, inf and nan;
+    # a change in orjson's float format shows up here first
+    rng = np.random.default_rng(17)
+    bits = rng.integers(0, 2**64, size=100_000, dtype=np.uint64).view(np.float64)
+    bits[:6] = [5e-324, -1e-310, 1.7976931348623157e308, math.nan, math.inf, -math.inf]
+    points = [complex(re, im) for re, im in bits.reshape(-1, 2).tolist()]
+    assert points_to_csv(points) == _repr_csv(points)
+
+
+def test_points_csv_matches_repr_at_the_notation_edges():
+    # +-0, nan, +-inf, and 1e-4, 1e16 with their float neighbours, both signs
+    edges = [0.0, -0.0, math.nan, math.inf, -math.inf]
+    for edge in (1e-4, 1e16):
+        for v in (edge, np.nextafter(edge, 0.0), np.nextafter(edge, math.inf)):
+            edges += [float(v), -float(v)]
+    points = [complex(re, im) for re in edges for im in edges]
+    assert points_to_csv(points) == _repr_csv(points)
+
+
+@pytest.mark.parametrize("points", [[], [0j], [complex(-0.0, -0.0)], [math.nan + 1j]])
+def test_points_csv_matches_repr_on_empty_and_one_point(points):
+    assert points_to_csv(points) == _repr_csv(points)
+
+
 def test_regions_json_round_trip(tmp_path):
     regions = [PacmanRegion(1.5, "plus"), PacmanRegion(math.inf, "minus")]
     path = tmp_path / "regions.json"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from pencillab import localization
+from pencillab import kcf, localization
 from pencillab.core import EPS, PoshPencil
 from pencillab.errors import PreconditionError, RankAmbiguityError
 from pencillab.localization import (
@@ -309,6 +309,48 @@ def test_regularity_report_raises_when_the_extraction_refuses(monkeypatch):
     monkeypatch.setattr(localization, "kronecker_structure", refuse)
     with pytest.raises(RankAmbiguityError, match="gap too small to call"):
         regularity_conditions_report(strongly_damped(3))
+
+
+def _shared_kernel_posh(n=6):
+    """J2 = J1/2 real skew, and PSD R1, R2 with one common kernel vector.
+
+    The spectral prover proves the condition and (d) fails on W, so the
+    certificate takes the skew-structure route.
+    """
+    rng = np.random.default_rng(n)
+    g = rng.standard_normal((n, n))
+    j1 = (g - g.T) / 2.0
+    k = rng.standard_normal(n)
+    proj = np.eye(n) - np.outer(k, k) / (k @ k)
+
+    def psd_killing_k():
+        f = proj @ rng.standard_normal((n, n))
+        m = f @ f.T / n
+        return (m + m.T) / 2.0
+
+    return PoshPencil(j1, psd_killing_k(), j1 / 2.0, psd_killing_k())
+
+
+def test_skew_pencil_structure_serves_every_later_call(monkeypatch):
+    calls = []
+    extract = kcf._escalated_structure
+
+    def counting(p):
+        calls.append(p)
+        return extract(p)
+
+    monkeypatch.setattr(kcf, "_escalated_structure", counting)
+    pp = _shared_kernel_posh()
+    certs = [lhp_certificate(pp, seed=s) for s in (1, 2, 3)]
+    assert {c.hypothesis_route for c in certs} == {"skew_structure"}
+    # the pencil and lambda*J1 + J2, each extracted once
+    assert len(calls) == 2
+    assert calls[1] is pp.skew_pencil()
+    rep = regularity_conditions_report(pp)
+    # only the three half pencils other than lambda*J1 + J2 are new
+    assert len(calls) == 5
+    assert all(p is not pp.skew_pencil() for p in calls[2:])
+    assert rep.jj_regular
 
 
 def test_regularity_report_labels():
