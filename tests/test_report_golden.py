@@ -55,6 +55,29 @@ def _real_posh(seed, n):
     return PoshPencil((g1 - g1.T) / 2, b @ b.T, (g2 - g2.T) / 2, np.eye(n))
 
 
+def _shared_kernel_docs(n=6):
+    """posH and minus-convention plain documents of one pencil on the skew-structure route.
+
+    J2 = J1/2 real skew, and PSD R1 and R2 share one kernel vector, so
+    condition (d) fails and the certificate reads the pencil's regularity.
+    """
+    rng = np.random.default_rng(n)
+    g = rng.standard_normal((n, n))
+    j1 = (g - g.T) / 2.0
+    k = rng.standard_normal(n)
+    proj = np.eye(n) - np.outer(k, k) / (k @ k)
+
+    def psd_killing_k():
+        f = proj @ rng.standard_normal((n, n))
+        m = f @ f.T / n
+        return (m + m.T) / 2.0
+
+    r1, r2 = psd_killing_k(), psd_killing_k()
+    posh = {"j1": _mat(j1), "r1": _mat(r1), "j2": _mat(j1 / 2.0), "r2": _mat(r2)}
+    plain = {"n": n, "convention": "minus", "lead": _mat(j1 + r1), "const": _mat(-(j1 / 2.0 + r2))}
+    return posh, plain
+
+
 def corpus() -> dict:
     """Case name to input document, all drawn from fixed seeds."""
     cases = {
@@ -72,6 +95,7 @@ def corpus() -> dict:
         cases[f"poly_d{degree}"] = _poly_doc(poly)
     t = random_psd_matrix(np.random.default_rng(40), 3) + 0.5 * np.eye(3)
     cases["mgt_cubic"] = _poly_doc(mgt_polynomial(2.0, 3.0, 1.0, t))
+    cases["shared_kernel_posh"], cases["shared_kernel_plain"] = _shared_kernel_docs()
     return cases
 
 
