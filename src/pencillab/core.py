@@ -18,6 +18,7 @@ from .errors import (
     DimensionError,
     PoshValidationError,
     PreconditionError,
+    RankAmbiguityError,
 )
 
 EPS = float(np.finfo(np.float64).eps)
@@ -134,15 +135,30 @@ def structured_part(m, name: str, skew: bool = False) -> np.ndarray:
     return keep
 
 
+def _kept(obj, key: str, build):
+    """build(), run on the first call for obj and key and kept in obj's instance dict.
+
+    The instance dict takes the value past a frozen dataclass's __setattr__.
+    A RankAmbiguityError that build raises is kept too, and every call
+    raises it again with a fresh traceback, so tracebacks do not pile up on it.
+    """
+    kept = obj.__dict__
+    if key not in kept:
+        try:
+            kept[key] = build()
+        except RankAmbiguityError as err:
+            kept[key] = err
+    value = kept[key]
+    if isinstance(value, RankAmbiguityError):
+        raise value.with_traceback(None)
+    return value
+
+
 class _CoefficientNorms:
     """norm(name): the spectral norm of coefficient name, computed on first use."""
 
     def norm(self, name: str) -> float:
-        # the instance dict takes the cache past a frozen dataclass's __setattr__
-        norms = self.__dict__.setdefault("_norms", {})
-        if name not in norms:
-            norms[name] = spectral_norm(getattr(self, name))
-        return norms[name]
+        return _kept(self, f"_norm_{name}", lambda: spectral_norm(getattr(self, name)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,19 +258,17 @@ class PoshPencil(_CoefficientNorms):
 
     def pencil(self) -> Pencil:
         """The plus-convention Pencil, built on first use and kept, so callers share its norms."""
-        if "_pencil" not in self.__dict__:
-            self.__dict__["_pencil"] = Pencil(self.j1 + self.r1, self.j2 + self.r2, PLUS)
-        return self.__dict__["_pencil"]
+        return _kept(self, "_pencil", lambda: Pencil(self.j1 + self.r1, self.j2 + self.r2, PLUS))
 
-    def skew_pencil(self) -> Pencil:
-        """The plus-convention Pencil lambda*J1 + J2, built on first use and kept like pencil()."""
-        if "_skew_pencil" not in self.__dict__:
-            self.__dict__["_skew_pencil"] = Pencil(self.j1, self.j2, PLUS)
-        return self.__dict__["_skew_pencil"]
+    def half_pencil(self, lead: str, const: str) -> Pencil:
+        """The plus-convention Pencil of two coefficients, e.g. ("j1", "j2"), kept like pencil()."""
+        return _kept(
+            self, f"_half_{lead}_{const}", lambda: Pencil(getattr(self, lead), getattr(self, const), PLUS)
+        )
 
     def source(self) -> Pencil:
         """The pencil validate_posh split, else pencil(): its structure stands for this one's."""
-        return self.__dict__.get("_source") or self.pencil()
+        return _kept(self, "_source", self.pencil)
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,7 +337,7 @@ def validate_posh(p: Pencil) -> PoshPencil:
     pp = PoshPencil(
         skew_part(p.lead), hermitian_part(p.lead), skew_part(p.constant), hermitian_part(p.constant)
     )
-    pp.__dict__["_source"] = source
+    _kept(pp, "_source", lambda: source)
     return pp
 
 

@@ -28,7 +28,6 @@ class DhVerdict:
     """Outcome of the admissibility conditions for one variant."""
 
     variant: str
-    holds: bool
     violated_conditions: tuple
     witness: object = None
 
@@ -36,10 +35,10 @@ class DhVerdict:
         object.__setattr__(
             self, "violated_conditions", tuple(self.violated_conditions)
         )
-        if self.holds != (not self.violated_conditions):
-            raise PreconditionError(
-                "holds flag inconsistent with the violation list"
-            )
+
+    @property
+    def holds(self) -> bool:
+        return not self.violated_conditions
 
 
 def _classify(lam: complex) -> str:
@@ -103,7 +102,6 @@ def check_dh_equivalence(ks: KroneckerStructure, variant: str = GENERAL_Q) -> Dh
         mark("minimal_indices", ("right", max(ks.right_minimal_indices)))
     return DhVerdict(
         variant=variant,
-        holds=not violations,
         violated_conditions=tuple(violations),
         witness=witness,
     )

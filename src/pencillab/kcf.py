@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import EPS, Pencil, spectral_norm
+from .core import EPS, Pencil, _kept, spectral_norm
 from .errors import PreconditionError, RankAmbiguityError
 
 # A singular value is kept when it exceeds kappa*dim*scale*EPS, dim and scale
@@ -69,8 +69,6 @@ class KroneckerStructure:
     left_minimal_indices: tuple
     finite_eigenstructure: tuple
     infinite_block_sizes: tuple
-    index: int
-    regular: bool
     rows: int
     cols: int
 
@@ -104,12 +102,17 @@ class KroneckerStructure:
                 "block sizes do not account for the pencil dimensions: "
                 f"rows {row_total} vs {self.rows}, cols {col_total} vs {self.cols}"
             )
-        expect_regular = self.rows == self.cols and not right and not left
-        if self.regular != expect_regular:
-            raise RankAmbiguityError("regularity flag inconsistent with block data")
-        expect_index = max(inf_sizes) if inf_sizes else 0
-        if self.index != expect_index:
-            raise RankAmbiguityError("index inconsistent with infinite block sizes")
+
+    @property
+    def index(self) -> int:
+        """The largest infinite block size, 0 when there is none."""
+        return max(self.infinite_block_sizes, default=0)
+
+    @property
+    def regular(self) -> bool:
+        """Square with no minimal indices."""
+        right, left = self.right_minimal_indices, self.left_minimal_indices
+        return self.rows == self.cols and not right and not left
 
     @property
     def eigenvalues(self) -> list:
@@ -415,16 +418,7 @@ def kronecker_structure(p: Pencil) -> KroneckerStructure:
 
     Kept on p; so is a refusal, which every later call raises again.
     """
-    if "_structure" not in p.__dict__:
-        try:
-            p.__dict__["_structure"] = _escalated_structure(p)
-        except RankAmbiguityError as err:
-            p.__dict__["_structure"] = err
-    kept = p.__dict__["_structure"]
-    if isinstance(kept, RankAmbiguityError):
-        # a fresh traceback on each raise, so tracebacks do not pile up on the kept error
-        raise kept.with_traceback(None)
-    return kept
+    return _kept(p, "_structure", lambda: _escalated_structure(p))
 
 
 def _escalated_structure(p: Pencil) -> KroneckerStructure:
@@ -491,15 +485,11 @@ def _extract_structure(E, A, rows, cols, kappa: float, scale: float) -> Kronecke
             "rank tolerances misjudged the singular structure"
         )
 
-    finite = _finite_structure(e_reg, a_reg, kappa, global_floor)
-    inf_tuple = tuple(inf_sizes)
     return KroneckerStructure(
         right_minimal_indices=tuple(right),
         left_minimal_indices=tuple(left),
-        finite_eigenstructure=finite,
-        infinite_block_sizes=inf_tuple,
-        index=max(inf_tuple) if inf_tuple else 0,
-        regular=(rows == cols and not right and not left),
+        finite_eigenstructure=_finite_structure(e_reg, a_reg, kappa, global_floor),
+        infinite_block_sizes=tuple(inf_sizes),
         rows=rows,
         cols=cols,
     )

@@ -26,8 +26,6 @@ import scipy.linalg
 from .core import (
     AXIS_TOL,
     EPS,
-    PLUS,
-    Pencil,
     PoshPencil,
     hermitian_part,
     psd_spectrum,
@@ -384,7 +382,7 @@ def lhp_certificate(pp: PoshPencil, falsify_budget: int = 2000, seed: int = 0) -
     if regular:
         notes.append("pencil regular by its Kronecker structure")
         try:
-            ks = kronecker_structure(pp.skew_pencil())
+            ks = kronecker_structure(pp.half_pencil("j1", "j2"))
         except RankAmbiguityError as exc:
             ks = None
             notes.append(f"skew pencil structure ambiguous: {exc}")
@@ -454,26 +452,19 @@ class RegularityConditionsReport:
     items: tuple
 
 
-def _pencil_regular(lead, const) -> bool:
-    return kronecker_structure(Pencil(lead, const, PLUS)).regular
-
-
 def _positive_real_eigenpairs(pp: PoshPencil):
-    """Finite eigenpairs of the pencil with eigenvalue on the positive axis."""
-    lead = pp.j1 + pp.r1
-    const = pp.j2 + pp.r2
-    n = pp.n
-    if n == 0:
-        return []
-    vals, vecs = scipy.linalg.eig(-const, lead)
+    """Finite eigenpairs of the pencil with eigenvalue on the positive axis.
+
+    The eigenvalues are read from the kept Kronecker structure of pp.source().
+    Each comes with one null vector of lam*(J1+R1) + (J2+R2) per Jordan
+    block, all taken from one SVD.
+    """
     pairs = []
-    for k in range(n):
-        lam = complex(vals[k])
-        if not np.isfinite(lam.real) or not np.isfinite(lam.imag):
-            continue
+    for lam, mults in kronecker_structure(pp.source()).finite_eigenstructure:
         reach = AXIS_TOL * (1.0 + abs(lam))
         if lam.real > reach and abs(lam.imag) <= reach:
-            pairs.append((lam.real, vecs[:, k]))
+            _, _, vh = np.linalg.svd(pp.pencil().value_at(lam.real))
+            pairs.extend((lam.real, x.conj()) for x in vh[-len(mults) :])
     return pairs
 
 
@@ -483,94 +474,60 @@ def regularity_conditions_report(pp: PoshPencil) -> RegularityConditionsReport:
     Hypotheses are regularity statements about the four half pencils;
     conclusions are re-verified on the instance where computable
     (verified None means the hypothesis does not apply or the check was
-    not computable).  Every regularity is read from a Kronecker structure,
-    so an ambiguous rank decision raises RankAmbiguityError.
+    not computable).  Every regularity is read from a kept Kronecker
+    structure, so an ambiguous rank decision raises RankAmbiguityError.
     """
     p_regular = kronecker_structure(pp.source()).regular
-    rr = _pencil_regular(pp.r1, pp.r2)
-    jj = kronecker_structure(pp.skew_pencil()).regular
-    r1j2 = _pencil_regular(pp.r1, pp.j2)
-    r2j1 = _pencil_regular(pp.r2, pp.j1)
-    scale = max(pp.norm("j1") + pp.norm("j2"), pp.norm("r1") + pp.norm("r2"), 1.0)
-    items = []
-
-    if not p_regular:
+    rr, jj, r1j2, r2j1 = (
+        kronecker_structure(pp.half_pencil(lead, const)).regular
+        for lead, const in (("r1", "r2"), ("j1", "j2"), ("r1", "j2"), ("r2", "j1"))
+    )
+    if p_regular:
+        pairs = _positive_real_eigenpairs(pp)
+        count = len(pairs)
+        scale = max(pp.norm("j1") + pp.norm("j2"), pp.norm("r1") + pp.norm("r2"), 1.0)
+        # one pass for the worst relative sigma_min of (iii) and the worst residual
+        # of (iv) and (v); the null vectors x are unit vectors
+        sigma = resid = 0.0
+        for alpha, x in pairs:
+            m = alpha * pp.j1 + pp.j2
+            rel = scale * (1.0 + alpha)
+            sigma = max(sigma, float(np.linalg.svd(m, compute_uv=False)[-1]) / rel)
+            resid = max(resid, float(np.linalg.norm(m @ x)) / rel)
+        item_i = CorollaryItem("i", False, None, "pencil is regular")
+        # (verified, detail) of each later item, used when its hypothesis holds
+        conclusions = {
+            "ii": (
+                not pairs,
+                "regular with no positive real eigenvalues"
+                if not pairs
+                else f"conclusion failed: {count} positive real eigenvalues",
+            ),
+            "iii": (
+                sigma <= AXIS_TOL,
+                f"{count} positive real eigenvalues, worst relative sigma_min {sigma:.3g}",
+            ),
+            "iv": (resid <= AXIS_TOL, f"{count} positive real eigenpairs, worst residual {resid:.3g}"),
+        }
+        conclusions["v"] = conclusions["iv"]
+    else:
         k1 = common_kernel([pp.j1, pp.r1, pp.r2]).shape[1]
         k2 = common_kernel([pp.j2, pp.r1, pp.r2]).shape[1]
-        items.append(
-            CorollaryItem(
-                "i",
-                True,
-                k1 > 0 and k2 > 0,
-                f"common kernel dimensions {k1} and {k2} for the two triples",
-            )
-        )
-    else:
-        items.append(CorollaryItem("i", False, None, "pencil is regular"))
-
-    pos_pairs = _positive_real_eigenpairs(pp) if p_regular else []
-
-    if rr:
-        ok = p_regular and not pos_pairs
-        detail = (
-            "regular with no positive real eigenvalues"
-            if ok
-            else "conclusion failed: "
-            + ("pencil singular" if not p_regular else f"{len(pos_pairs)} positive real eigenvalues")
-        )
-        items.append(CorollaryItem("ii", True, ok, detail))
-    else:
-        items.append(CorollaryItem("ii", False, None, "lambda*R1+R2 singular"))
-
-    if jj:
-        if not p_regular:
-            items.append(CorollaryItem("iii", True, False, "pencil singular"))
+        detail = f"common kernel dimensions {k1} and {k2} for the two triples"
+        item_i = CorollaryItem("i", True, k1 > 0 and k2 > 0, detail)
+        conclusions = dict.fromkeys(("iii", "iv", "v"), (False, "pencil singular"))
+        conclusions["ii"] = (False, "conclusion failed: pencil singular")
+    items = [item_i]
+    for label, hyp, name in (
+        ("ii", rr, "lambda*R1+R2"),
+        ("iii", jj, "lambda*J1+J2"),
+        ("iv", r1j2, "lambda*R1+J2"),
+        ("v", r2j1, "lambda*R2+J1"),
+    ):
+        if hyp:
+            items.append(CorollaryItem(label, True, *conclusions[label]))
         else:
-            ok = True
-            worst = 0.0
-            for alpha, _ in pos_pairs:
-                m = alpha * pp.j1 + pp.j2
-                sv = np.linalg.svd(m, compute_uv=False)
-                resid = float(sv[-1]) / (scale * (1.0 + alpha))
-                worst = max(worst, resid)
-                if resid > AXIS_TOL:
-                    ok = False
-            items.append(
-                CorollaryItem(
-                    "iii",
-                    True,
-                    ok,
-                    f"{len(pos_pairs)} positive real eigenvalues, "
-                    f"worst relative sigma_min {worst:.3g}",
-                )
-            )
-    else:
-        items.append(CorollaryItem("iii", False, None, "lambda*J1+J2 singular"))
-
-    for label, hyp, hyp_name in (("iv", r1j2, "lambda*R1+J2"), ("v", r2j1, "lambda*R2+J1")):
-        if not hyp:
-            items.append(CorollaryItem(label, False, None, f"{hyp_name} singular"))
-            continue
-        if not p_regular:
-            items.append(CorollaryItem(label, True, False, "pencil singular"))
-            continue
-        ok = True
-        worst = 0.0
-        for alpha, x in pos_pairs:
-            resid = float(
-                np.linalg.norm((alpha * pp.j1 + pp.j2) @ x)
-            ) / (scale * (1.0 + alpha) * float(np.linalg.norm(x)))
-            worst = max(worst, resid)
-            if resid > AXIS_TOL:
-                ok = False
-        items.append(
-            CorollaryItem(
-                label,
-                True,
-                ok,
-                f"{len(pos_pairs)} positive real eigenpairs, worst residual {worst:.3g}",
-            )
-        )
+            items.append(CorollaryItem(label, False, None, f"{name} singular"))
 
     return RegularityConditionsReport(
         p_regular=p_regular,

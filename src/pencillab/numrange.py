@@ -21,6 +21,7 @@ from .core import (
     EPS,
     Pencil,
     PoshPencil,
+    _kept,
     as_complex_matrix,
     hermitian_part,
     is_positive_definite,
@@ -44,16 +45,15 @@ class NumRangeSample:
     """Retained numerical-range points, as Python complex, plus the discard count."""
 
     points: tuple
-    discarded: int
     seed: int
     sample_count: int
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
-        if len(self.points) + self.discarded != self.sample_count:
-            raise PreconditionError(
-                "retained plus discarded must equal the requested sample count"
-            )
+
+    @property
+    def discarded(self) -> int:
+        return self.sample_count - len(self.points)
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,7 @@ def sample_numerical_range(p: Pencil, n_samples: int, seed: int = 0) -> NumRange
     if n_samples < 0:
         raise InputFormatError("sample count must be nonnegative")
     if n_samples == 0 or n == 0:
-        return NumRangeSample((), n_samples, seed, n_samples)
+        return NumRangeSample((), seed, n_samples)
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n_samples, n)) + 1j * rng.standard_normal((n_samples, n))
     norms = np.linalg.norm(X, axis=1)
@@ -140,8 +140,7 @@ def sample_numerical_range(p: Pencil, n_samples: int, seed: int = 0) -> NumRange
     keep = np.abs(ql) > DENOMINATOR_CUTOFF * lead_norm
     mu = np.where(keep, -qc / np.where(keep, ql, 1.0), 0.0)
     keep &= np.abs(qc + mu * ql) <= emit_scale
-    points = tuple(mu[keep].tolist())
-    return NumRangeSample(points, n_samples - len(points), seed, n_samples)
+    return NumRangeSample(tuple(mu[keep].tolist()), seed, n_samples)
 
 
 def definiteness_threshold(h0, h1) -> float | None:
@@ -500,9 +499,7 @@ def kernel_verdicts(pp: PoshPencil) -> tuple:
     from (a); a close rank gap or a close call on (d) gives None.  The
     verdicts are decided on the first call and kept on pp.
     """
-    if "_kernel_verdicts" not in pp.__dict__:
-        pp.__dict__["_kernel_verdicts"] = _decide_kernel_verdicts(pp)
-    return pp.__dict__["_kernel_verdicts"]
+    return _kept(pp, "_kernel_verdicts", lambda: _decide_kernel_verdicts(pp))
 
 
 def _decide_kernel_verdicts(pp: PoshPencil) -> tuple:

@@ -112,11 +112,7 @@ def _structure_from_blocks(blocks) -> KroneckerStructure:
     )
     rows = sum(b.shape[0] for b in blocks)
     cols = sum(b.shape[1] for b in blocks)
-    index = max(inf_sizes) if inf_sizes else 0
-    regular = rows == cols and not right and not left
-    return KroneckerStructure(
-        tuple(right), tuple(left), finite, tuple(inf_sizes), index, regular, rows, cols
-    )
+    return KroneckerStructure(tuple(right), tuple(left), finite, tuple(inf_sizes), rows, cols)
 
 
 def _random_transform(rng, n: int, condition_cap: float) -> np.ndarray:
@@ -526,12 +522,7 @@ def random_admissible_structure(rng, variant: str, max_blocks: int = 3) -> Krone
     total_finite = sum(sum(m) for _, m in finite)
     rows = sum(right) + sum(e + 1 for e in left) + total_finite + sum(inf_sizes)
     cols = sum(e + 1 for e in right) + sum(left) + total_finite + sum(inf_sizes)
-    index = max(inf_sizes) if inf_sizes else 0
-    regular = not right and rows == cols
-    return KroneckerStructure(
-        tuple(right), tuple(left), tuple(finite), tuple(inf_sizes),
-        index, regular, rows, cols,
-    )
+    return KroneckerStructure(tuple(right), tuple(left), tuple(finite), tuple(inf_sizes), rows, cols)
 
 
 def random_psd_polynomial(rng, n: int, degree: int, pd_constant: bool | None = None):

@@ -17,8 +17,6 @@ def regular_structure(finite=(), infinite=(), right=(), left=()):
         left_minimal_indices=tuple(sorted(left)),
         finite_eigenstructure=tuple(finite),
         infinite_block_sizes=tuple(sorted(infinite)),
-        index=max(infinite) if infinite else 0,
-        regular=not right and not left,
         rows=rows,
         cols=cols,
     )

@@ -102,8 +102,6 @@ def test_row_column_accounting_enforced():
             left_minimal_indices=(),
             finite_eigenstructure=(),
             infinite_block_sizes=(),
-            index=0,
-            regular=False,
             rows=5,
             cols=5,
         )

@@ -345,12 +345,24 @@ def test_skew_pencil_structure_serves_every_later_call(monkeypatch):
     assert {c.hypothesis_route for c in certs} == {"skew_structure"}
     # the pencil and lambda*J1 + J2, each extracted once
     assert len(calls) == 2
-    assert calls[1] is pp.skew_pencil()
+    assert calls[1] is pp.half_pencil("j1", "j2")
     rep = regularity_conditions_report(pp)
     # only the three half pencils other than lambda*J1 + J2 are new
     assert len(calls) == 5
-    assert all(p is not pp.skew_pencil() for p in calls[2:])
+    assert all(p is not pp.half_pencil("j1", "j2") for p in calls[2:])
     assert rep.jj_regular
+    # a second report reads every structure it needs from the kept ones
+    assert regularity_conditions_report(pp) == rep
+    assert len(calls) == 5
+
+
+def test_half_pencils_are_kept():
+    pp = _shared_kernel_posh()
+    rr = pp.half_pencil("r1", "r2")
+    assert pp.half_pencil("r1", "r2") is rr
+    assert rr.convention == "plus"
+    assert np.array_equal(rr.lead, pp.r1) and np.array_equal(rr.constant, pp.r2)
+    assert pp.half_pencil("r2", "r1") is not rr
 
 
 def test_regularity_report_labels():

@@ -93,8 +93,6 @@ def test_conjugate_transpose_swaps_minimal_indices(p):
         ks.right_minimal_indices,
         tuple((lam.conjugate(), mults) for lam, mults in ks.finite_eigenstructure),
         ks.infinite_block_sizes,
-        ks.index,
-        ks.regular,
         ks.cols,
         ks.rows,
     )
