@@ -4,10 +4,14 @@ The pencil is processed in the minus convention. Three deflation phases:
 
 1. A staircase run on (lead, constant) peels the right singular blocks and
    the structure at infinity, leaving a core whose lead has full column rank.
+   A square lead of full rank leaves the whole pencil as the core; phase 2
+   and the cross-check below then reduce to phase 2's stricter cutoff,
+   applied to the singular values of that one SVD.
 2. The same staircase applied to the conjugate-transposed core peels the
    left singular blocks, leaving a square regular core with invertible lead.
-3. One QZ call on the core gives the finite eigenvalues with their left and
-   right eigenvectors.  An eigenvalue whose first-order perturbation disk
+3. One QZ call on the core gives the finite eigenvalues with their right
+   eigenvectors X; the rows of (E X)^-1 are the matching left eigenvectors
+   of the core lambda*E - A.  An eigenvalue whose first-order perturbation disk
    (radius from its condition number at the carried rank floor) is well
    apart from every other eigenvalue's disk is certified simple.  The rest
    are clustered, and the partial multiplicities of each true cluster and
@@ -25,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import zggev
 
 from .core import EPS, Pencil, _kept, spectral_norm
 from .errors import PreconditionError, RankAmbiguityError
@@ -171,7 +175,8 @@ def _staircase_inf(E, A, kappa: float, scale: float, extra_floor: float = 0.0):
 
     Works on the pencil lambda*E - A. Returns the step counts (s_k, t_k)
     where s_k = dim ker E and t_k = rank(A restricted to that kernel) at
-    step k, together with the deflated core whose lead has trivial kernel.
+    step k, the deflated core whose lead has trivial kernel, and the
+    singular values of the last lead SVD.
     Rank cutoffs are relative to scale, the max(||E||, ||A||) of the input
     or of the pencil it was deflated from.
     """
@@ -182,6 +187,7 @@ def _staircase_inf(E, A, kappa: float, scale: float, extra_floor: float = 0.0):
     dim0 = max(max(E.shape), 1)
     s_list: list[int] = []
     t_list: list[int] = []
+    sv_e = np.zeros(0)
     while True:
         rows, cols = E.shape
         if cols == 0:
@@ -217,7 +223,7 @@ def _staircase_inf(E, A, kappa: float, scale: float, extra_floor: float = 0.0):
         A = keep_rows.conj().T @ (A @ keep_cols)
         s_list.append(s)
         t_list.append(t)
-    return s_list, t_list, E, A
+    return s_list, t_list, E, A, sv_e
 
 
 def _counts_from_staircase(s_list, t_list):
@@ -285,7 +291,9 @@ def _union_find_clusters(values, factor):
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
     out = list(groups.values())
-    out.sort(key=lambda g: (np.mean(v[g]).real, np.mean(v[g]).imag))
+    # the mean of one value is that value, so singletons skip np.mean
+    mean = {g[0]: v[g[0]] if len(g) == 1 else np.mean(v[g]) for g in out}
+    out.sort(key=lambda g: (mean[g[0]].real, mean[g[0]].imag))
     return out
 
 
@@ -322,7 +330,7 @@ def _cluster_multiplicities(
     scale = max(spectral_norm(b), norm_e)
     for factor in (1.0, 4.0, 16.0, 64.0):
         try:
-            s_list, t_list, _, _ = _staircase_inf(
+            s_list, t_list, _, _, _ = _staircase_inf(
                 b, E, kappa, scale, extra_floor=factor * base + carried_floor
             )
             minimal, sizes = _counts_from_staircase(s_list, t_list)
@@ -338,17 +346,21 @@ def _cluster_multiplicities(
 def _certified_eigenvalues(E, A, floor: float):
     """Eigenvalues of lambda*E - A (E invertible), and which are certified simple.
 
-    With right and left eigenvectors x and y, perturbations of E and A of
+    QZ gives the right eigenvectors X; the rows y_i* of (E X)^-1 are left
+    eigenvectors with y_i* E x_j = delta_ij.  Perturbations of E and A of
     norm at most floor move eigenvalue i by at most
-    r_i = |x| |y| (1 + |lambda_i|) floor / |y* E x| to first order.  It is
+    r_i = |x_i| |y_i| (1 + |lambda_i|) floor to first order.  It is
     certified simple when 8*(r_i + r_j) < |lambda_i - lambda_j| for every
-    j != i, so its disk is well apart from every other.  The members of a
-    split Jordan block have y* E x near zero and are never certified.
+    j != i, so its disk is well apart from every other.  A split Jordan
+    block makes E X nearly singular, so its members are never certified,
+    and an exactly singular E X certifies nothing.
     """
-    w, vl, vr = scipy.linalg.eig(
-        A, E, left=True, right=True, homogeneous_eigvals=True
-    )
-    alpha, beta = w
+    # lwork from a query, as scipy.linalg.eig takes it, keeps the blocked QR
+    # path and so the bits of alpha and beta
+    lwork = int(zggev(A, E, compute_vl=0, lwork=-1)[-2][0].real)
+    alpha, beta, _, vr, _, info = zggev(A, E, compute_vl=0, lwork=lwork)
+    if info:
+        raise np.linalg.LinAlgError(f"generalized eig algorithm (ggev) did not converge (LAPACK info={info})")
     # the staircase kept sigma_min(E) above floor, and no diagonal entry of
     # the triangular factor of E is smaller than its sigma_min
     if np.any(np.abs(beta) <= floor):
@@ -357,14 +369,16 @@ def _certified_eigenvalues(E, A, floor: float):
             "rank tolerances likely misjudged the staircase"
         )
     values = alpha / beta
-    pairing = np.abs(np.einsum("ij,ij->j", vl.conj(), E @ vr))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    try:
+        left = np.linalg.inv(E @ vr)
+    except np.linalg.LinAlgError:
+        return values, np.zeros(len(values), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
         radius = (
-            np.linalg.norm(vl, axis=0)
-            * np.linalg.norm(vr, axis=0)
+            np.linalg.norm(vr, axis=0)
+            * np.linalg.norm(left, axis=1)
             * (1.0 + np.abs(values))
             * floor
-            / pairing
         )
     apart = 8.0 * (radius[:, None] + radius[None, :]) < np.abs(
         values[:, None] - values[None, :]
@@ -449,41 +463,46 @@ def _escalated_structure(p: Pencil) -> KroneckerStructure:
 def _extract_structure(E, A, rows, cols, kappa: float, scale: float) -> KroneckerStructure:
     global_floor = kappa * EPS * max(rows, cols, 1) * scale
 
-    s1, t1, e_core, a_core = _staircase_inf(E, A, kappa, scale)
+    s1, t1, e_reg, a_reg, sv = _staircase_inf(E, A, kappa, scale)
     right, inf_sizes = _counts_from_staircase(s1, t1)
+    if rows == cols and not s1:
+        # a square lead of full rank is the whole core; the transposed runs
+        # would redo this SVD, so only the left-deflation cutoff is applied
+        left = []
+        if _decide_rank(sv, rows, scale, kappa, global_floor, "lead kernel") < rows:
+            raise RankAmbiguityError("left-deflation cutoff finds a kernel in a full-rank lead")
+    else:
+        s2, t2, _, _, _ = _staircase_inf(E.conj().T, A.conj().T, kappa, scale)
+        left_indep, inf_indep = _counts_from_staircase(s2, t2)
+        if inf_indep != inf_sizes:
+            raise RankAmbiguityError(
+                "primal and transposed staircase runs disagree on the structure "
+                f"at infinity: {inf_sizes} vs {inf_indep}"
+            )
 
-    s2, t2, _, _ = _staircase_inf(E.conj().T, A.conj().T, kappa, scale)
-    left_indep, inf_indep = _counts_from_staircase(s2, t2)
-    if inf_indep != inf_sizes:
-        raise RankAmbiguityError(
-            "primal and transposed staircase runs disagree on the structure "
-            f"at infinity: {inf_sizes} vs {inf_indep}"
+        # cutoffs at the core's own norms, plus global_floor at the input's scale
+        eh, ah = e_reg.conj().T, a_reg.conj().T
+        s3, t3, e2h, a2h, _ = _staircase_inf(
+            eh, ah, kappa, max(spectral_norm(eh), spectral_norm(ah)), extra_floor=global_floor
         )
-
-    # cutoffs at the core's own norms, plus global_floor at the input's scale
-    eh, ah = e_core.conj().T, a_core.conj().T
-    s3, t3, e2h, a2h = _staircase_inf(
-        eh, ah, kappa, max(spectral_norm(eh), spectral_norm(ah)), extra_floor=global_floor
-    )
-    left, inf_leftover = _counts_from_staircase(s3, t3)
-    if inf_leftover:
-        raise RankAmbiguityError(
-            "left-deflation staircase found structure at infinity in a core "
-            "that should have none"
-        )
-    if left != left_indep:
-        raise RankAmbiguityError(
-            "left minimal indices disagree between the deflation phases: "
-            f"{left} vs {left_indep}"
-        )
-
-    e_reg = e2h.conj().T
-    a_reg = a2h.conj().T
-    if e_reg.shape[0] != e_reg.shape[1]:
-        raise RankAmbiguityError(
-            f"regular core is not square ({e_reg.shape[0]}x{e_reg.shape[1]}); "
-            "rank tolerances misjudged the singular structure"
-        )
+        left, inf_leftover = _counts_from_staircase(s3, t3)
+        if inf_leftover:
+            raise RankAmbiguityError(
+                "left-deflation staircase found structure at infinity in a core "
+                "that should have none"
+            )
+        if left != left_indep:
+            raise RankAmbiguityError(
+                "left minimal indices disagree between the deflation phases: "
+                f"{left} vs {left_indep}"
+            )
+        e_reg = e2h.conj().T
+        a_reg = a2h.conj().T
+        if e_reg.shape[0] != e_reg.shape[1]:
+            raise RankAmbiguityError(
+                f"regular core is not square ({e_reg.shape[0]}x{e_reg.shape[1]}); "
+                "rank tolerances misjudged the singular structure"
+            )
 
     return KroneckerStructure(
         right_minimal_indices=tuple(right),

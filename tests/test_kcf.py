@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from pencillab import kcf
+from pencillab import core, kcf
 from pencillab.core import EPS, Pencil, PoshPencil, spectral_norm
 from pencillab.errors import PreconditionError, RankAmbiguityError
 from pencillab.kcf import (
@@ -133,10 +133,8 @@ def test_eigenvalue_clustering_collapses_jitter():
     assert mults == (2, 2)
 
 
-@pytest.mark.parametrize("n", [32, 40])
-def test_clustered_posh_spectrum_is_simple(n):
-    # J2 = 2*J1 with small rank-n/2 R's crowds the spectrum; every eigenvalue
-    # is still simple, and the structure must say so rather than refuse
+def _clustered_posh(n):
+    """PoshPencil(J1, 0.01 R1, 2 J1, 0.01 R2) with R1, R2 of rank n/2."""
     rng = np.random.default_rng(n)
 
     def gauss(cols):
@@ -149,7 +147,14 @@ def test_clustered_posh_spectrum_is_simple(n):
 
     g = gauss(n)
     j1 = (g - g.conj().T) / 2.0
-    pp = PoshPencil(j1, 0.01 * psd_half_rank(), 2.0 * j1, 0.01 * psd_half_rank())
+    return PoshPencil(j1, 0.01 * psd_half_rank(), 2.0 * j1, 0.01 * psd_half_rank())
+
+
+@pytest.mark.parametrize("n", [32, 40])
+def test_clustered_posh_spectrum_is_simple(n):
+    # J2 = 2*J1 with small rank-n/2 R's crowds the spectrum; every eigenvalue
+    # is still simple, and the structure must say so rather than refuse
+    pp = _clustered_posh(n)
     ks = kronecker_structure(pp.pencil())
     assert ks.regular and ks.index == 0
     assert [m for _, m in ks.finite_eigenstructure] == [(1,)] * n
@@ -276,3 +281,131 @@ def test_a_refusal_is_kept_and_raised_again(monkeypatch):
         kronecker_structure(p)
     assert second.value is first.value
     assert len(calls) == 4
+
+
+def _two_sided_certification(E, A, floor):
+    """Certification from both QZ eigenvector sets and the pairing y* E x."""
+    w, vl, vr = scipy.linalg.eig(A, E, left=True, right=True, homogeneous_eigvals=True)
+    values = w[0] / w[1]
+    pairing = np.abs(np.einsum("ij,ij->j", vl.conj(), E @ vr))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        radius = (
+            np.linalg.norm(vl, axis=0)
+            * np.linalg.norm(vr, axis=0)
+            * (1.0 + np.abs(values))
+            * floor
+            / pairing
+        )
+    apart = 8.0 * (radius[:, None] + radius[None, :]) < np.abs(values[:, None] - values[None, :])
+    np.fill_diagonal(apart, True)
+    return values, apart.all(axis=1)
+
+
+def _certification_cases():
+    for n in (8, 24, 48, 88):
+        rng = np.random.default_rng([n, 1])
+        e, a = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+        yield f"generic-{n}", e, a
+    for size, seed in itertools.product((2, 3), range(4)):
+        blocks = [BlockSpec("finite_jordan", size, eigenvalue=0.5 - 1.0j)] + [
+            BlockSpec("finite_jordan", 1, eigenvalue=complex(k, 2.0)) for k in range(-3, 4)
+        ]
+        p, _ = assemble_pencil(blocks, transform_condition_cap=10.0, seed=seed)
+        yield f"split-jordan-{size}-{seed}", p.lead, p.constant
+    for n in (32, 40):
+        p = _clustered_posh(n).pencil()
+        yield f"clustered-{n}", p.lead, -p.constant
+
+
+def test_certification_matches_the_two_sided_reference():
+    # right eigenvectors and the rows of (E X)^-1 give the radii that both
+    # eigenvector sets and the pairing y* E x gave, on the same QZ eigenvalues
+    for name, e, a in _certification_cases():
+        scale = max(spectral_norm(e), spectral_norm(a))
+        floor = KAPPA_SAFETY * EPS * e.shape[0] * scale
+        want_values, want_mask = _two_sided_certification(e, a, floor)
+        values, mask = _certified_eigenvalues(e, a, floor)
+        assert np.array_equal(values, want_values), name
+        assert np.array_equal(mask, want_mask), name
+        if name.startswith("split"):
+            assert not mask.all(), name
+
+
+@pytest.mark.parametrize("n", [130, 200])
+def test_certified_eigenvalues_are_the_bits_of_scipy_eig(n):
+    # past LAPACK's crossover to blocked QR, only the queried workspace
+    # reproduces scipy.linalg.eig's alpha and beta
+    rng = np.random.default_rng([n, 2])
+    e, a = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+    w = scipy.linalg.eig(a, e, left=True, right=True, homogeneous_eigvals=True)[0]
+    values, _ = _certified_eigenvalues(e, a, 0.0)
+    assert np.array_equal(values, w[0] / w[1])
+
+
+def test_a_full_rank_lead_takes_one_svd_and_one_right_vector_qz(monkeypatch):
+    n = 40
+    rng = np.random.default_rng(n)
+    g = rng.standard_normal((4, n, n)) + 1j * rng.standard_normal((4, n, n))
+    skews = [(m - m.conj().T) / 2.0 for m in g[:2]]
+    psds = [m @ m.conj().T / n + 0.05 * np.eye(n) for m in g[2:]]
+    p = PoshPencil(skews[0], psds[0], skews[1], psds[1]).pencil()
+    svds, norms, qz = [], [], []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        svds.append(kwargs.get("compute_uv", True))
+        return svd(a, *args, **kwargs)
+
+    def counting_norm(module):
+        norm = module.spectral_norm
+
+        def counted(a):
+            norms.append(module.__name__)
+            return norm(a)
+
+        return counted
+
+    def counting_zggev(*args, **kwargs):
+        qz.append((kwargs["compute_vl"], kwargs.get("compute_vr", 1), kwargs["lwork"] == -1))
+        return zggev(*args, **kwargs)
+
+    zggev = kcf.zggev
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(kcf, "zggev", counting_zggev)
+    for module in (core, kcf):
+        monkeypatch.setattr(module, "spectral_norm", counting_norm(module))
+    calls = _count_rungs(monkeypatch)
+    ks = kronecker_structure(p)
+    assert ks.regular and [m for _, m in ks.finite_eigenstructure] == [(1,)] * n
+    assert len(calls) == 1
+    assert svds == [True]
+    # the only spectral norms are the pencil's own, kept for later calls
+    assert norms == ["pencillab.core"] * 2
+    assert qz == [(0, 1, True), (0, 1, False)]
+
+
+@pytest.mark.parametrize("gap", [8.5, 12.0, 15.5])
+def test_a_lead_at_the_left_deflation_cutoff_is_refused_at_the_first_rungs(monkeypatch, gap):
+    # sigma_min(E) is 8 to 16 times the first staircase cutoff, so under the
+    # left-deflation cutoff (about twice the first) it sits in the ambiguous
+    # band; the next rung is ambiguous in the first run, and the third drops
+    # sigma_min as a block at infinity
+    a = np.diag([1.0, 2.0, 3.0, 4.0])
+    tol = KAPPA_SAFETY * 4 * 4.0 * EPS
+    e = np.diag([1.0, 1.0, 1.0, gap * tol])
+    calls = _count_rungs(monkeypatch)
+    ks = kronecker_structure(Pencil(e, a, "minus"))
+    assert [args[4] for args in calls] == [KAPPA_SAFETY, 4 * KAPPA_SAFETY, 16 * KAPPA_SAFETY]
+    assert ks.infinite_block_sizes == (1,)
+    assert ks.finite_eigenstructure == ((1.0, (1,)), (2.0, (1,)), (3.0, (1,)))
+
+
+def test_an_exactly_singular_eigenvector_basis_certifies_nothing(monkeypatch):
+    # no left eigenvectors, so no radius: every eigenvalue takes the staircase
+    def singular(m):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    values, certified = _certified_eigenvalues(np.eye(2), np.diag([1.0, 4.0]), 1e-14)
+    assert sorted(values.real) == [1.0, 4.0]
+    assert not certified.any()
