@@ -16,7 +16,10 @@ The pencil is processed in the minus convention. Three deflation phases:
    apart from every other eigenvalue's disk is certified simple.  The rest
    are clustered, and the partial multiplicities of each true cluster and
    each uncertified singleton are read off as the infinite structure of the
-   shifted-and-reversed pencil, reusing the one staircase.
+   shifted-and-reversed pencil by the same staircase.  Each SVD of a
+   shifted staircase is taken once per kappa rung: higher rank floors and
+   later clustering rounds that reach the same shift and the same rank
+   decisions reuse it, and only the cutoffs change.
 
 An independent transposed staircase run on the full pencil cross-checks the
 left minimal indices and the infinite structure; disagreement between the
@@ -170,7 +173,14 @@ def _decide_rank(
     return rank
 
 
-def _staircase_inf(E, A, kappa: float, scale: float, extra_floor: float = 0.0):
+def _reused(store: dict, key, compute):
+    """compute(), run on the first call for key and kept in store."""
+    if key not in store:
+        store[key] = compute()
+    return store[key]
+
+
+def _staircase_inf(E, A, kappa: float, scale: float, extra_floor: float = 0.0, svds=None):
     """Deflate the structure at infinity and the right singular part.
 
     Works on the pencil lambda*E - A. Returns the step counts (s_k, t_k)
@@ -179,14 +189,19 @@ def _staircase_inf(E, A, kappa: float, scale: float, extra_floor: float = 0.0):
     singular values of the last lead SVD.
     Rank cutoffs are relative to scale, the max(||E||, ||A||) of the input
     or of the pencil it was deflated from.
+    svds keeps each SVD under the rank decisions that led to its matrix, so
+    a rerun of the same pencil at another floor decomposes only what its
+    own decisions newly reach.
     """
     E = np.array(E, dtype=np.complex128)
     A = np.array(A, dtype=np.complex128)
+    svds = {} if svds is None else svds
     # roundoff contaminates deflated submatrices at the scale of the whole
     # problem, so rank cutoffs keep the entry dimension even as steps shrink
     dim0 = max(max(E.shape), 1)
     s_list: list[int] = []
     t_list: list[int] = []
+    path: tuple = ()
     sv_e = np.zeros(0)
     while True:
         rows, cols = E.shape
@@ -195,10 +210,12 @@ def _staircase_inf(E, A, kappa: float, scale: float, extra_floor: float = 0.0):
         if rows == 0:
             rank_e = 0
         else:
-            u_e, sv_e, vh_e = np.linalg.svd(E, full_matrices=True)
+            # the left factor of the lead is never read
+            sv_e, vh_e = _reused(svds, path, lambda: np.linalg.svd(E, full_matrices=True)[1:])
             rank_e = _decide_rank(
                 sv_e, dim0, scale, kappa, extra_floor, "lead kernel"
             )
+        path += (rank_e,)
         s = cols - rank_e
         if s == 0:
             break
@@ -214,10 +231,11 @@ def _staircase_inf(E, A, kappa: float, scale: float, extra_floor: float = 0.0):
             t = 0
             u_b = np.zeros((0, 0), dtype=np.complex128)
         else:
-            u_b, sv_b, _ = np.linalg.svd(b, full_matrices=True)
+            u_b, sv_b = _reused(svds, path, lambda: np.linalg.svd(b, full_matrices=True)[:2])
             t = _decide_rank(
                 sv_b, dim0, scale, kappa, extra_floor, "kernel image"
             )
+        path += (t,)
         keep_rows = u_b[:, t:]
         E = keep_rows.conj().T @ (E @ keep_cols)
         A = keep_rows.conj().T @ (A @ keep_cols)
@@ -298,7 +316,7 @@ def _union_find_clusters(values, factor):
 
 
 def _cluster_multiplicities(
-    E, A, rep, count, radius_abs, kappa, carried_floor, norm_e, norm_a
+    E, A, rep, count, radius_abs, kappa, carried_floor, norm_e, norm_a, store
 ):
     """Partial multiplicities of one eigenvalue cluster, or None on failure.
 
@@ -306,32 +324,27 @@ def _cluster_multiplicities(
     The rank floor starts at the cluster radius scale and is escalated until
     the sizes account for every cluster member; the caller escalates the
     clustering radius itself when no floor works.  norm_e and norm_a are
-    the spectral norms of E and A.
+    the spectral norms of E and A.  store keeps the scale and the staircase
+    SVDs of each shifted pencil, under its orientation and shift, for every
+    floor and every round of the caller.
     """
-    if abs(rep) > 1.0 and radius_abs < abs(rep) / 2.0:
+    reverse = abs(rep) > 1.0 and radius_abs < abs(rep) / 2.0
+    if reverse:
         # large eigenvalues are badly scaled under a direct shift; the
         # reversed pencil sees the same Jordan sizes at 1/rep, and the
         # cluster ball maps into one of quadratically smaller radius
-        return _cluster_multiplicities(
-            A,
-            E,
-            1.0 / rep,
-            count,
-            2.0 * radius_abs / abs(rep) ** 2,
-            kappa,
-            carried_floor,
-            norm_a,
-            norm_e,
-        )
+        E, A, norm_e, norm_a = A, E, norm_a, norm_e
+        rep, radius_abs = 1.0 / rep, 2.0 * radius_abs / abs(rep) ** 2
+    shifted = store.setdefault((reverse, rep), {})
     b = A - rep * E
     # moving a cluster member to rep perturbs b by at most radius_abs * ||E||;
     # scaling by ||b|| instead would double-count |rep| for large eigenvalues
     base = 2.0 * radius_abs * norm_e
-    scale = max(spectral_norm(b), norm_e)
+    scale = _reused(shifted, "scale", lambda: max(spectral_norm(b), norm_e))
     for factor in (1.0, 4.0, 16.0, 64.0):
         try:
             s_list, t_list, _, _, _ = _staircase_inf(
-                b, E, kappa, scale, extra_floor=factor * base + carried_floor
+                b, E, kappa, scale, extra_floor=factor * base + carried_floor, svds=shifted
             )
             minimal, sizes = _counts_from_staircase(s_list, t_list)
         except RankAmbiguityError:
@@ -398,6 +411,10 @@ def _finite_structure(E, A, kappa: float, carried_floor: float):
         return ()
     values, certified = _certified_eigenvalues(E, A, carried_floor)
     norms = None
+    # every floor try and every round reads one scale and one set of staircase
+    # SVDs per shift: a cluster that keeps its members keeps its shift, and
+    # only the cutoffs change
+    store: dict = {}
     for round_idx in range(CLUSTER_ROUNDS):
         factor = CLUSTER_RADIUS * (10.0 ** round_idx)
         clusters = _union_find_clusters(values, factor)
@@ -412,7 +429,7 @@ def _finite_structure(E, A, kappa: float, carried_floor: float):
             rep = complex(np.mean(values[members]))
             radius_abs = factor * (1.0 + abs(rep))
             mults = _cluster_multiplicities(
-                E, A, rep, len(members), radius_abs, kappa, carried_floor, *norms
+                E, A, rep, len(members), radius_abs, kappa, carried_floor, *norms, store
             )
             if mults is None:
                 ok = False

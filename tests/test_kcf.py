@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -30,6 +31,14 @@ def test_identity_shift_structure():
     assert eigs == {2.0: (1, 1), 5.0: (1,)}
 
 
+def _split_jordan(size, seed, eigenvalue=0.5 - 1.0j):
+    """A Jordan block and seven simple eigenvalues under a condition-10 equivalence."""
+    blocks = [BlockSpec("finite_jordan", size, eigenvalue=eigenvalue)] + [
+        BlockSpec("finite_jordan", 1, eigenvalue=complex(k, 2.0)) for k in range(-3, 4)
+    ]
+    return assemble_pencil(blocks, transform_condition_cap=10.0, seed=seed)
+
+
 def test_jordan_block_multiplicity():
     jb = np.array([[3.0, 1.0, 0.0], [0.0, 3.0, 1.0], [0.0, 0.0, 3.0]])
     ks = kronecker_structure(Pencil(np.eye(3), jb, "minus"))
@@ -41,10 +50,7 @@ def test_jordan_block_multiplicity():
     # under a condition-10 equivalence QZ splits the block; its members are
     # too ill-conditioned to be certified simple, so the staircase still runs
     target = 0.5 - 1.0j
-    blocks = [BlockSpec("finite_jordan", 3, eigenvalue=target)] + [
-        BlockSpec("finite_jordan", 1, eigenvalue=complex(k, 2.0)) for k in range(-3, 4)
-    ]
-    p, _ = assemble_pencil(blocks, transform_condition_cap=10.0, seed=3)
+    p, _ = _split_jordan(3, seed=3, eigenvalue=target)
     ks = kronecker_structure(p)
     assert [m for lam, m in ks.finite_eigenstructure if abs(lam - target) < 1e-3] == [(3,)]
     assert sorted(m for _, m in ks.finite_eigenstructure) == [(1,)] * 7 + [(3,)]
@@ -269,10 +275,7 @@ def test_a_structure_is_kept_on_its_pencil(monkeypatch):
 def test_a_refusal_is_kept_and_raised_again(monkeypatch):
     # the cluster phase cannot resolve a size-5 Jordan block under a
     # condition-10 equivalence, so every rung of the ladder refuses
-    blocks = [BlockSpec("finite_jordan", 5, eigenvalue=0.0)] + [
-        BlockSpec("finite_jordan", 1, eigenvalue=complex(k, 2.0)) for k in range(-3, 4)
-    ]
-    p, _ = assemble_pencil(blocks, transform_condition_cap=10.0, seed=100)
+    p, _ = _split_jordan(5, seed=100, eigenvalue=0.0)
     calls = _count_rungs(monkeypatch)
     with pytest.raises(RankAmbiguityError) as first:
         kronecker_structure(p)
@@ -307,10 +310,7 @@ def _certification_cases():
         e, a = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
         yield f"generic-{n}", e, a
     for size, seed in itertools.product((2, 3), range(4)):
-        blocks = [BlockSpec("finite_jordan", size, eigenvalue=0.5 - 1.0j)] + [
-            BlockSpec("finite_jordan", 1, eigenvalue=complex(k, 2.0)) for k in range(-3, 4)
-        ]
-        p, _ = assemble_pencil(blocks, transform_condition_cap=10.0, seed=seed)
+        p, _ = _split_jordan(size, seed)
         yield f"split-jordan-{size}-{seed}", p.lead, p.constant
     for n in (32, 40):
         p = _clustered_posh(n).pencil()
@@ -382,6 +382,93 @@ def test_a_full_rank_lead_takes_one_svd_and_one_right_vector_qz(monkeypatch):
     # the only spectral norms are the pencil's own, kept for later calls
     assert norms == ["pencillab.core"] * 2
     assert qz == [(0, 1, True), (0, 1, False)]
+
+
+def test_no_matrix_is_decomposed_twice_in_one_extraction(monkeypatch):
+    # the split block's members fail the first clustering rounds, so later
+    # rounds rerun the shifted staircases of clusters that kept their members
+    p, truth = _split_jordan(3, seed=0)
+    digests = {"svd": [], "norm": []}
+    svd, norm, clusters = np.linalg.svd, kcf.spectral_norm, kcf._union_find_clusters
+    factors = []
+
+    def digest(kind, a):
+        a = np.ascontiguousarray(a)
+        digests[kind].append(hashlib.sha256(repr(a.shape).encode() + a.tobytes()).hexdigest())
+
+    def hashing_svd(a, *args, **kwargs):
+        digest("svd", a)
+        return svd(a, *args, **kwargs)
+
+    def hashing_norm(a):
+        digest("norm", a)
+        return norm(a)
+
+    def recording_clusters(values, factor):
+        factors.append(factor)
+        return clusters(values, factor)
+
+    monkeypatch.setattr(np.linalg, "svd", hashing_svd)
+    monkeypatch.setattr(kcf, "spectral_norm", hashing_norm)
+    monkeypatch.setattr(kcf, "_union_find_clusters", recording_clusters)
+    calls = _count_rungs(monkeypatch)
+    ks = kronecker_structure(p)
+    assert len(calls) == 1
+    assert len(factors) >= 2
+    for kind, seen in digests.items():
+        assert len(seen) == len(set(seen)), kind
+    assert structures_match(ks, truth)
+    assert sorted(m for _, m in ks.finite_eigenstructure) == [(1,)] * 7 + [(3,)]
+
+
+def test_reused_decompositions_give_the_same_bits(monkeypatch):
+    # a store that never hits decomposes every shifted pencil afresh at every
+    # floor and round; every staircase's counts, deflated core and refusal,
+    # and so the structures with their eigenvalue bits, must not move.  Both
+    # size-5 blocks are refused, and the floors of the second take different
+    # rank decisions on one shifted pencil
+    cases = [(name, e, a) for name, e, a in _certification_cases() if not name.startswith("generic")]
+    for name, p in (("jordan-5", _split_jordan(5, 100, 0.0)[0]), ("jordan-5-1", _split_jordan(5, 1)[0])):
+        cases.append((name, p.lead, p.constant))
+    svd, staircase = np.linalg.svd, kcf._staircase_inf
+    log, svds = [], []
+
+    def counting_svd(a, *args, **kwargs):
+        svds.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    def recording_staircase(*args, **kwargs):
+        try:
+            s_list, t_list, e, a, sv = staircase(*args, **kwargs)
+        except RankAmbiguityError as err:
+            log.append(str(err))
+            raise
+        log.append((s_list, t_list, e.tobytes(), a.tobytes(), sv.tobytes()))
+        return s_list, t_list, e, a, sv
+
+    def outcomes():
+        log.clear()
+        svds.clear()
+        got = {}
+        for name, e, a in cases:
+            scale = max(spectral_norm(e), spectral_norm(a))
+            floor = KAPPA_SAFETY * EPS * e.shape[0] * scale
+            try:
+                got[name] = kcf._finite_structure(e, a, KAPPA_SAFETY, floor)
+            except RankAmbiguityError as err:
+                got[name] = str(err)
+        return got, list(log), len(svds)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(kcf, "_staircase_inf", recording_staircase)
+    reused, reused_log, reused_svds = outcomes()
+    monkeypatch.setattr(kcf, "_reused", lambda store, key, compute: compute())
+    fresh, fresh_log, fresh_svds = outcomes()
+    assert reused == fresh
+    assert reused_log == fresh_log
+    for name in ("jordan-5", "jordan-5-1"):
+        assert reused[name].startswith("eigenvalue cluster multiplicities never balanced")
+    assert reused_svds < fresh_svds
 
 
 @pytest.mark.parametrize("gap", [8.5, 12.0, 15.5])
