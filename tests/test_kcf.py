@@ -496,3 +496,58 @@ def test_an_exactly_singular_eigenvector_basis_certifies_nothing(monkeypatch):
     values, certified = _certified_eigenvalues(np.eye(2), np.diag([1.0, 4.0]), 1e-14)
     assert sorted(values.real) == [1.0, 4.0]
     assert not certified.any()
+
+
+@pytest.mark.parametrize("eigenvalue", [0.0, 2j])
+def test_split_jordan_blocks_are_recovered_or_refused(eigenvalue):
+    # sizes 4 to 6 under condition-10 equivalences; at 2i the block shares
+    # its eigenvalue with one of the simple ones.  A refusal is allowed, a
+    # wrong structure is not
+    for size, seed in itertools.product((4, 5, 6), range(100, 104)):
+        p, truth = _split_jordan(size, seed, eigenvalue)
+        try:
+            ks = kronecker_structure(p)
+        except RankAmbiguityError:
+            continue
+        assert structures_match(ks, truth), (size, seed)
+
+
+def _canonical_blocks(template, seed):
+    """BlockSpecs of one template, its simple eigenvalues drawn from a grid."""
+    jordan = template.get("jordan", {})
+    grid = [
+        complex(x, y)
+        for x, y in itertools.product(np.arange(-3.0, 3.01, 0.75), repeat=2)
+        if min(abs(complex(x, y) - lam) for lam in jordan) > 0.3
+    ]
+    rng = np.random.default_rng(seed)
+    simple = [grid[i] for i in rng.choice(len(grid), size=template["simple"], replace=False)]
+    blocks = [BlockSpec("right_singular", e) for e in template.get("right", ())]
+    blocks += [BlockSpec("left_singular", e) for e in template.get("left", ())]
+    blocks += [BlockSpec("finite_jordan", s, eigenvalue=lam) for lam, sizes in jordan.items() for s in sizes]
+    blocks += [BlockSpec("finite_jordan", 1, eigenvalue=lam) for lam in simple]
+    blocks += [BlockSpec("infinite", s) for s in template.get("infinite", ())]
+    return blocks
+
+
+# deep staircases, Jordan chains of several sizes at one eigenvalue, and
+# singular blocks on both sides
+_CANONICAL_TEMPLATES = (
+    {"jordan": {-1 + 1j: (3, 2, 1), 0.5: (2, 2), -2.0: (1, 1, 1), 2j: (3,)},
+     "infinite": (2, 1), "simple": 20},
+    {"right": (0, 1, 2), "left": (1, 3), "jordan": {-1.0: (2, 1), 1 + 1j: (2,)},
+     "infinite": (3, 1), "simple": 20},
+    {"right": (1, 2), "left": (0, 2, 3), "jordan": {-0.5: (3, 3, 2), 1j: (2, 1)},
+     "infinite": (2, 2, 1), "simple": 16},
+    {"jordan": {0.0: (3, 2), -1.5: (3, 1)}, "infinite": (4, 3, 2, 1), "simple": 36},
+)
+
+
+def test_canonical_pencils_are_recovered():
+    # four templates, six seeds, two condition caps: none of the 48 pencils
+    # is refused, and none is wrong
+    cases = itertools.product(range(len(_CANONICAL_TEMPLATES)), range(6), (3.0, 10.0))
+    for t, seed, cond in cases:
+        blocks = _canonical_blocks(_CANONICAL_TEMPLATES[t], seed)
+        p, truth = assemble_pencil(blocks, transform_condition_cap=cond, seed=seed)
+        assert structures_match(kronecker_structure(p), truth), (t, seed, cond)
