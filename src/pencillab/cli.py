@@ -61,10 +61,10 @@ from .matpoly import (
 from .numrange import (
     DENOMINATOR_CUTOFF,
     EMISSION_RESIDUAL,
-    PacmanRegion,
     beta_thresholds,
     beta_thresholds_scaled,
     nocommon_chain_report,
+    pacman_regions,
     sample_numerical_range,
 )
 
@@ -181,15 +181,6 @@ def _cubic_json(cs) -> dict:
         "beta_star": float_to_json(cs.beta_star),
         "evidence": "exact",
     }
-
-
-def _regions_from_thresholds(bt) -> list:
-    regions = []
-    if bt.beta_plus is not None and bt.beta_plus > 0:
-        regions.append(PacmanRegion(bt.beta_plus, "plus"))
-    if bt.beta_minus is not None and bt.beta_minus > 0:
-        regions.append(PacmanRegion(bt.beta_minus, "minus"))
-    return regions
 
 
 def _certificate_json(cert) -> dict:
@@ -309,7 +300,7 @@ def cmd_numrange(args) -> int:
     seed = _resolve_seed(args)
     sample = sample_numerical_range(pp.pencil(), args.samples, seed)
     bt = beta_thresholds(pp)
-    regions = _regions_from_thresholds(bt)
+    regions = pacman_regions(bt.beta_plus, bt.beta_minus)
     csv_text = points_to_csv(sample.points)
     if args.out:
         atomic_write_text(args.out, csv_text)

@@ -16,15 +16,19 @@ The pencil is processed in the minus convention. Three deflation phases:
    apart from every other eigenvalue's disk is certified simple.  The rest
    are clustered, and the partial multiplicities of each true cluster and
    each uncertified singleton are read off as the infinite structure of the
-   shifted-and-reversed pencil by the same staircase.  Each SVD of a
-   shifted staircase is taken once per kappa rung: higher rank floors and
-   later clustering rounds that reach the same shift and the same rank
-   decisions reuse it, and only the cutoffs change.
+   shifted-and-reversed pencil by the same staircase.
 
 An independent transposed staircase run on the full pencil cross-checks the
 left minimal indices and the infinite structure; disagreement between the
 two derivations surfaces as a rank-ambiguity diagnostic rather than a wrong
 answer.
+
+The kappa ladder retries only the singular stage: phases 1 and 2, the
+cross-check, and the QZ of phase 3 with its check for an eigenvalue at
+infinity.  The cluster stage runs once, at the deciding kappa; it escalates
+only the clustering radius, which also raises each cluster's rank floor, and
+a later round that reaches a shift and rank decisions already seen reuses
+their SVDs.
 """
 
 from __future__ import annotations
@@ -39,13 +43,13 @@ from .errors import PreconditionError, RankAmbiguityError
 
 # A singular value is kept when it exceeds kappa*dim*scale*EPS, dim and scale
 # those of the input pencil; kappa starts at KAPPA_SAFETY and is escalated
-# x4, x16, x64 when a run is inconsistent.
+# x4, x16, x64 while the singular stage is inconsistent.
 KAPPA_SAFETY = 16.0
 # A rank decision is ambiguous when the smallest kept singular value is
 # less than AMBIGUITY_GAP times the largest dropped one.
 AMBIGUITY_GAP = 1e3
 # Relative eigenvalue clustering radius, escalated tenfold per round for at
-# most CLUSTER_ROUNDS rounds.
+# most CLUSTER_ROUNDS rounds; a cluster's rank floor grows with its radius.
 CLUSTER_RADIUS = 1e-6
 CLUSTER_ROUNDS = 5
 # Largest row or column count accepted.
@@ -320,13 +324,12 @@ def _cluster_multiplicities(
 ):
     """Partial multiplicities of one eigenvalue cluster, or None on failure.
 
-    Reads the sizes as the infinite structure of lambda*(A - rep*E) - E.
-    The rank floor starts at the cluster radius scale and is escalated until
-    the sizes account for every cluster member; the caller escalates the
-    clustering radius itself when no floor works.  norm_e and norm_a are
-    the spectral norms of E and A.  store keeps the scale and the staircase
-    SVDs of each shifted pencil, under its orientation and shift, for every
-    floor and every round of the caller.
+    Reads the sizes as the infinite structure of lambda*(A - rep*E) - E at a
+    rank floor on the cluster radius scale.  They fail unless they account
+    for every cluster member; the caller then escalates the radius, and with
+    it the floor.  norm_e and norm_a are the spectral norms of E and A.  store keeps the scale and the staircase SVDs of each
+    shifted pencil, under its orientation and shift, for every round of the
+    caller.
     """
     reverse = abs(rep) > 1.0 and radius_abs < abs(rep) / 2.0
     if reverse:
@@ -339,21 +342,14 @@ def _cluster_multiplicities(
     b = A - rep * E
     # moving a cluster member to rep perturbs b by at most radius_abs * ||E||;
     # scaling by ||b|| instead would double-count |rep| for large eigenvalues
-    base = 2.0 * radius_abs * norm_e
+    floor = 2.0 * radius_abs * norm_e + carried_floor
     scale = _reused(shifted, "scale", lambda: max(spectral_norm(b), norm_e))
-    for factor in (1.0, 4.0, 16.0, 64.0):
-        try:
-            s_list, t_list, _, _, _ = _staircase_inf(
-                b, E, kappa, scale, extra_floor=factor * base + carried_floor, svds=shifted
-            )
-            minimal, sizes = _counts_from_staircase(s_list, t_list)
-        except RankAmbiguityError:
-            continue
-        if minimal:
-            continue
-        if sum(sizes) == count:
-            return sizes
-    return None
+    try:
+        s_list, t_list, _, _, _ = _staircase_inf(b, E, kappa, scale, extra_floor=floor, svds=shifted)
+        minimal, sizes = _counts_from_staircase(s_list, t_list)
+    except RankAmbiguityError:
+        return None
+    return None if minimal or sum(sizes) != count else sizes
 
 
 def _certified_eigenvalues(E, A, floor: float):
@@ -368,6 +364,9 @@ def _certified_eigenvalues(E, A, floor: float):
     block makes E X nearly singular, so its members are never certified,
     and an exactly singular E X certifies nothing.
     """
+    if E.size == 0:
+        # LAPACK takes no empty matrix
+        return np.zeros(0, dtype=np.complex128), np.zeros(0, dtype=bool)
     # lwork from a query, as scipy.linalg.eig takes it, keeps the blocked QR
     # path and so the bits of alpha and beta
     lwork = int(zggev(A, E, compute_vl=0, lwork=-1)[-2][0].real)
@@ -400,27 +399,22 @@ def _certified_eigenvalues(E, A, floor: float):
     return values, apart.all(axis=1)
 
 
-def _finite_structure(E, A, kappa: float, carried_floor: float):
+def _finite_structure(E, A, values, certified, kappa: float, carried_floor: float, norms):
     """Clustered eigenvalues with partial multiplicities for a regular core.
 
-    A certified simple eigenvalue alone in its cluster has multiplicities
-    (1,); every other cluster runs the shifted staircase.
+    values and certified are _certified_eigenvalues of the core.  A
+    certified simple eigenvalue alone in its cluster has multiplicities
+    (1,); every other cluster runs the shifted staircase.  norms are the
+    spectral norms of E and A, or None to take them on first need.
     """
-    q = E.shape[0]
-    if q == 0:
-        return ()
-    values, certified = _certified_eigenvalues(E, A, carried_floor)
-    norms = None
-    # every floor try and every round reads one scale and one set of staircase
-    # SVDs per shift: a cluster that keeps its members keeps its shift, and
-    # only the cutoffs change
+    # every round reads one scale and one set of staircase SVDs per shift: a
+    # cluster that keeps its members keeps its shift, and only the cutoffs
+    # change
     store: dict = {}
     for round_idx in range(CLUSTER_ROUNDS):
         factor = CLUSTER_RADIUS * (10.0 ** round_idx)
-        clusters = _union_find_clusters(values, factor)
         result = []
-        ok = True
-        for members in clusters:
+        for members in _union_find_clusters(values, factor):
             if len(members) == 1 and certified[members[0]]:
                 result.append((complex(values[members[0]]), (1,)))
                 continue
@@ -432,15 +426,15 @@ def _finite_structure(E, A, kappa: float, carried_floor: float):
                 E, A, rep, len(members), radius_abs, kappa, carried_floor, *norms, store
             )
             if mults is None:
-                ok = False
                 break
             result.append((rep, tuple(sorted(mults))))
-        if ok:
+        else:
             result.sort(key=lambda item: (item[0].real, item[0].imag))
             return tuple(result)
     raise RankAmbiguityError(
         "eigenvalue cluster multiplicities never balanced the cluster sizes, "
-        "even after radius escalation"
+        f"even after radius escalation: the cluster at {rep:.6g} with {len(members)} members "
+        f"was unresolved at radius {radius_abs:.3g} (relative {factor:g}), kappa {kappa:g}"
     )
 
 
@@ -461,23 +455,40 @@ def _escalated_structure(p: Pencil) -> KroneckerStructure:
         raise PreconditionError(
             f"pencil size {rows}x{cols} exceeds the cap {SIZE_CAP}"
         )
-    # truncation garbage left in deflated cores is proportional to the scale
-    # of the ORIGINAL pencil, so later phases must not trust core-local scale
-    scale = max(p.norm("lead"), p.norm("constant"))
-
     # roundoff accumulated over successive compressions can cross a tight
-    # rank tolerance; retry with escalated safety factors and accept only
-    # when the independent derivations agree
+    # rank tolerance; retry the singular stage with escalated safety factors
+    # and accept only when the independent derivations agree.  A higher
+    # kappa never balances a cluster that the radius rounds leave unbalanced,
+    # so the cluster stage runs once, at the deciding kappa
     last_error: RankAmbiguityError | None = None
     for mult in (1.0, 4.0, 16.0, 64.0):
         try:
-            return _extract_structure(E, A, rows, cols, KAPPA_SAFETY * mult, scale)
+            right, left, inf_sizes, core = _singular_stage(
+                E, A, rows, cols, KAPPA_SAFETY * mult, (p.norm("lead"), p.norm("constant"))
+            )
+            break
         except RankAmbiguityError as err:
             last_error = err
-    raise last_error
+    else:
+        raise last_error
+    return KroneckerStructure(
+        right_minimal_indices=tuple(right),
+        left_minimal_indices=tuple(left),
+        finite_eigenstructure=_finite_structure(*core),
+        infinite_block_sizes=tuple(inf_sizes),
+        rows=rows,
+        cols=cols,
+    )
 
 
-def _extract_structure(E, A, rows, cols, kappa: float, scale: float) -> KroneckerStructure:
+def _singular_stage(E, A, rows, cols, kappa: float, norms):
+    """(right, left, infinite sizes, _finite_structure arguments) at one kappa.
+
+    norms are the spectral norms of E and A (||-A|| is ||A||).
+    """
+    # truncation garbage left in deflated cores is proportional to the scale
+    # of the ORIGINAL pencil, so later phases must not trust core-local scale
+    scale = max(norms)
     global_floor = kappa * EPS * max(rows, cols, 1) * scale
 
     s1, t1, e_reg, a_reg, sv = _staircase_inf(E, A, kappa, scale)
@@ -515,20 +526,15 @@ def _extract_structure(E, A, rows, cols, kappa: float, scale: float) -> Kronecke
             )
         e_reg = e2h.conj().T
         a_reg = a2h.conj().T
+        # the core's norms are taken when a cluster first needs them
+        norms = None
         if e_reg.shape[0] != e_reg.shape[1]:
             raise RankAmbiguityError(
                 f"regular core is not square ({e_reg.shape[0]}x{e_reg.shape[1]}); "
                 "rank tolerances misjudged the singular structure"
             )
-
-    return KroneckerStructure(
-        right_minimal_indices=tuple(right),
-        left_minimal_indices=tuple(left),
-        finite_eigenstructure=_finite_structure(e_reg, a_reg, kappa, global_floor),
-        infinite_block_sizes=tuple(inf_sizes),
-        rows=rows,
-        cols=cols,
-    )
+    values, certified = _certified_eigenvalues(e_reg, a_reg, global_floor)
+    return right, left, inf_sizes, (e_reg, a_reg, values, certified, kappa, global_floor, norms)
 
 
 def structures_match(a: KroneckerStructure, b: KroneckerStructure) -> bool:

@@ -28,7 +28,7 @@ from .errors import (
     PreconditionError,
 )
 from .kcf import kronecker_structure
-from .numrange import PacmanRegion, definiteness_threshold
+from .numrange import definiteness_threshold, pacman_regions
 
 
 @dataclass(frozen=True)
@@ -270,14 +270,8 @@ def cubic_stability(p: MatrixPolynomial) -> CubicStabilityReport:
         pos2 = True
     except PoshValidationError:
         pos2 = False
-    regions = ()
-    if beta_star is not None and beta_star > 0.0:
-        regions = (
-            PacmanRegion(beta_star, "plus"),
-            PacmanRegion(beta_star, "minus"),
-        )
     conclusion = "lhp_certified" if pos2 else "region_excluded_only"
-    return CubicStabilityReport(beta_star, pos2, True, conclusion, regions)
+    return CubicStabilityReport(beta_star, pos2, True, conclusion, pacman_regions(beta_star, beta_star))
 
 
 def mgt_stability(a: float, b: float, c: float, t) -> str:

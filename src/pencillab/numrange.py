@@ -87,6 +87,12 @@ class PacmanRegion:
         object.__setattr__(self, "beta", beta)
 
 
+def pacman_regions(beta_plus, beta_minus) -> tuple:
+    """The plus and the minus PacmanRegion, each where its beta is positive."""
+    pairs = ((beta_plus, "plus"), (beta_minus, "minus"))
+    return tuple(PacmanRegion(beta, sign) for beta, sign in pairs if beta is not None and beta > 0)
+
+
 def rayleigh_point(p: Pencil, x) -> complex | None:
     """Numerical-range point generated by x, or None when x is too isotropic.
 

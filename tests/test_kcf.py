@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -251,13 +252,13 @@ def test_empty_pencil():
 def _count_rungs(monkeypatch) -> list:
     """One entry per rung of the kappa ladder that kronecker_structure climbs."""
     calls = []
-    extract = kcf._extract_structure
+    extract = kcf._singular_stage
 
     def counting(*args):
         calls.append(args)
         return extract(*args)
 
-    monkeypatch.setattr(kcf, "_extract_structure", counting)
+    monkeypatch.setattr(kcf, "_singular_stage", counting)
     return calls
 
 
@@ -274,16 +275,17 @@ def test_a_structure_is_kept_on_its_pencil(monkeypatch):
 
 def test_a_refusal_is_kept_and_raised_again(monkeypatch):
     # the cluster phase cannot resolve a size-5 Jordan block under a
-    # condition-10 equivalence, so every rung of the ladder refuses
+    # condition-10 equivalence; the singular stage is decided at the first
+    # rung, and the cluster refusal does not climb the ladder
     p, _ = _split_jordan(5, seed=100, eigenvalue=0.0)
     calls = _count_rungs(monkeypatch)
     with pytest.raises(RankAmbiguityError) as first:
         kronecker_structure(p)
-    assert len(calls) == 4
+    assert len(calls) == 1
     with pytest.raises(RankAmbiguityError) as second:
         kronecker_structure(p)
     assert second.value is first.value
-    assert len(calls) == 4
+    assert len(calls) == 1
 
 
 def _two_sided_certification(E, A, floor):
@@ -386,7 +388,9 @@ def test_a_full_rank_lead_takes_one_svd_and_one_right_vector_qz(monkeypatch):
 
 def test_no_matrix_is_decomposed_twice_in_one_extraction(monkeypatch):
     # the split block's members fail the first clustering rounds, so later
-    # rounds rerun the shifted staircases of clusters that kept their members
+    # rounds rerun the shifted staircases of clusters that kept their members;
+    # the core is the pencil itself, so the cluster phase reads the norms the
+    # pencil keeps
     p, truth = _split_jordan(3, seed=0)
     digests = {"svd": [], "norm": []}
     svd, norm, clusters = np.linalg.svd, kcf.spectral_norm, kcf._union_find_clusters
@@ -409,7 +413,8 @@ def test_no_matrix_is_decomposed_twice_in_one_extraction(monkeypatch):
         return clusters(values, factor)
 
     monkeypatch.setattr(np.linalg, "svd", hashing_svd)
-    monkeypatch.setattr(kcf, "spectral_norm", hashing_norm)
+    for module in (core, kcf):
+        monkeypatch.setattr(module, "spectral_norm", hashing_norm)
     monkeypatch.setattr(kcf, "_union_find_clusters", recording_clusters)
     calls = _count_rungs(monkeypatch)
     ks = kronecker_structure(p)
@@ -454,7 +459,7 @@ def test_reused_decompositions_give_the_same_bits(monkeypatch):
             scale = max(spectral_norm(e), spectral_norm(a))
             floor = KAPPA_SAFETY * EPS * e.shape[0] * scale
             try:
-                got[name] = kcf._finite_structure(e, a, KAPPA_SAFETY, floor)
+                got[name] = kcf._finite_structure(e, a, *_certified_eigenvalues(e, a, floor), KAPPA_SAFETY, floor, None)
             except RankAmbiguityError as err:
                 got[name] = str(err)
         return got, list(log), len(svds)
@@ -551,3 +556,28 @@ def test_canonical_pencils_are_recovered():
         blocks = _canonical_blocks(_CANONICAL_TEMPLATES[t], seed)
         p, truth = assemble_pencil(blocks, transform_condition_cap=cond, seed=seed)
         assert structures_match(kronecker_structure(p), truth), (t, seed, cond)
+
+
+def test_a_cluster_refusal_names_the_cluster_its_radius_and_kappa(monkeypatch):
+    # the size-5 block at 0 stays unbalanced through the last radius round;
+    # the refusal comes from the one QZ of the first rung
+    p, _ = _split_jordan(5, seed=100, eigenvalue=0.0)
+    zggev, qz = kcf.zggev, []
+
+    def counting_zggev(*args, **kwargs):
+        qz.append(kwargs["lwork"] == -1)
+        return zggev(*args, **kwargs)
+
+    monkeypatch.setattr(kcf, "zggev", counting_zggev)
+    with pytest.raises(RankAmbiguityError) as refusal:
+        kronecker_structure(p)
+    assert qz == [True, False]
+    message = str(refusal.value)
+    assert message.startswith("eigenvalue cluster multiplicities never balanced the cluster sizes")
+    found = re.search(r"cluster at (\S+) with (\d+) members .* \(relative (\S+)\), kappa (\S+)$", message)
+    assert found, message
+    rep, members, relative, kappa = found.groups()
+    assert abs(complex(rep)) < 1e-3 and int(members) == 5
+    assert float(relative) == pytest.approx(kcf.CLUSTER_RADIUS * 10.0 ** (kcf.CLUSTER_ROUNDS - 1))
+    assert float(kappa) == KAPPA_SAFETY
+
