@@ -457,13 +457,13 @@ def _escalated_structure(p: Pencil) -> KroneckerStructure:
         )
     # roundoff accumulated over successive compressions can cross a tight
     # rank tolerance; retry the singular stage with escalated safety factors
-    # and accept only when the independent derivations agree.  A higher
-    # kappa never balances a cluster that the radius rounds leave unbalanced,
-    # so the cluster stage runs once, at the deciding kappa
+    # and accept only when the independent derivations agree.  A cluster's
+    # cutoff is set by its radius, far above the kappa term, so the cluster
+    # stage runs once, at the deciding kappa
     last_error: RankAmbiguityError | None = None
     for mult in (1.0, 4.0, 16.0, 64.0):
         try:
-            right, left, inf_sizes, core = _singular_stage(
+            right, left, inf_sizes, cluster_args = _singular_stage(
                 E, A, rows, cols, KAPPA_SAFETY * mult, (p.norm("lead"), p.norm("constant"))
             )
             break
@@ -474,7 +474,7 @@ def _escalated_structure(p: Pencil) -> KroneckerStructure:
     return KroneckerStructure(
         right_minimal_indices=tuple(right),
         left_minimal_indices=tuple(left),
-        finite_eigenstructure=_finite_structure(*core),
+        finite_eigenstructure=_finite_structure(*cluster_args),
         infinite_block_sizes=tuple(inf_sizes),
         rows=rows,
         cols=cols,

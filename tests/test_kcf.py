@@ -428,10 +428,9 @@ def test_no_matrix_is_decomposed_twice_in_one_extraction(monkeypatch):
 
 def test_reused_decompositions_give_the_same_bits(monkeypatch):
     # a store that never hits decomposes every shifted pencil afresh at every
-    # floor and round; every staircase's counts, deflated core and refusal,
-    # and so the structures with their eigenvalue bits, must not move.  Both
-    # size-5 blocks are refused, and the floors of the second take different
-    # rank decisions on one shifted pencil
+    # round; every staircase's counts, deflated core and refusal, and so the
+    # structures with their eigenvalue bits, must not move.  Both size-5
+    # blocks are refused
     cases = [(name, e, a) for name, e, a in _certification_cases() if not name.startswith("generic")]
     for name, p in (("jordan-5", _split_jordan(5, 100, 0.0)[0]), ("jordan-5-1", _split_jordan(5, 1)[0])):
         cases.append((name, p.lead, p.constant))
@@ -459,7 +458,8 @@ def test_reused_decompositions_give_the_same_bits(monkeypatch):
             scale = max(spectral_norm(e), spectral_norm(a))
             floor = KAPPA_SAFETY * EPS * e.shape[0] * scale
             try:
-                got[name] = kcf._finite_structure(e, a, *_certified_eigenvalues(e, a, floor), KAPPA_SAFETY, floor, None)
+                eigen = _certified_eigenvalues(e, a, floor)
+                got[name] = kcf._finite_structure(e, a, *eigen, KAPPA_SAFETY, floor, None)
             except RankAmbiguityError as err:
                 got[name] = str(err)
         return got, list(log), len(svds)
