@@ -64,6 +64,7 @@ from .numrange import (
     beta_thresholds,
     beta_thresholds_scaled,
     nocommon_chain_report,
+    pacman_betas,
     pacman_regions,
     sample_numerical_range,
 )
@@ -299,8 +300,7 @@ def cmd_numrange(args) -> int:
     pp = _as_posh(obj)
     seed = _resolve_seed(args)
     sample = sample_numerical_range(pp.pencil(), args.samples, seed)
-    bt = beta_thresholds(pp)
-    regions = pacman_regions(bt.beta_plus, bt.beta_minus)
+    regions = pacman_regions(*pacman_betas(pp))
     csv_text = points_to_csv(sample.points)
     if args.out:
         atomic_write_text(args.out, csv_text)

@@ -59,6 +59,17 @@ def spectral_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
+def svdvals(a: np.ndarray) -> np.ndarray:
+    """The singular values of a, descending, from one SVD without vectors.
+
+    The first is spectral_norm(a) to the bit: np.linalg.norm(a, 2) is the
+    largest value of the same SVD.
+    """
+    if a.size == 0:
+        return np.zeros(0)
+    return np.linalg.svd(a, compute_uv=False)
+
+
 def quadratic_forms(X: np.ndarray, a: np.ndarray) -> np.ndarray:
     """x_k* a x_k for every row x_k of X, through one BLAS product.
 
@@ -155,10 +166,14 @@ def _kept(obj, key: str, build):
 
 
 class _CoefficientNorms:
-    """norm(name): the spectral norm of coefficient name, computed on first use."""
+    """The singular values of coefficient name and its spectral norm, from one SVD on first use."""
+
+    def singular_values(self, name: str) -> np.ndarray:
+        return _kept(self, f"_sv_{name}", lambda: _frozen(svdvals(getattr(self, name))))
 
     def norm(self, name: str) -> float:
-        return _kept(self, f"_norm_{name}", lambda: spectral_norm(getattr(self, name)))
+        sv = self.singular_values(name)
+        return float(sv[0]) if sv.size else 0.0
 
 
 @dataclass(frozen=True, eq=False)

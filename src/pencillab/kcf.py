@@ -4,14 +4,18 @@ The pencil is processed in the minus convention. Three deflation phases:
 
 1. A staircase run on (lead, constant) peels the right singular blocks and
    the structure at infinity, leaving a core whose lead has full column rank.
-   A square lead of full rank leaves the whole pencil as the core; phase 2
-   and the cross-check below then reduce to phase 2's stricter cutoff,
-   applied to the singular values of that one SVD.
+   A square lead is first ranked on the singular values that the pencil
+   keeps for its norm; one of full rank leaves the whole pencil as the core
+   and takes no SVD with vectors, and phase 2 and the cross-check below
+   reduce to phase 2's stricter cutoff, applied to the same values.
 2. The same staircase applied to the conjugate-transposed core peels the
    left singular blocks, leaving a square regular core with invertible lead.
-3. One QZ call on the core gives the finite eigenvalues with their right
-   eigenvectors X; the rows of (E X)^-1 are the matching left eigenvectors
-   of the core lambda*E - A.  An eigenvalue whose first-order perturbation disk
+3. One QZ call on the core, without Schur vectors, gives the triangular
+   pair (S, T) and the finite eigenvalues.  Back substitution gives the
+   right eigenvectors X of (S, T), and the rows of (T X)^-1 its left
+   eigenvectors; the unitary factors of the Schur form change no norm and
+   no pairing, so these give each eigenvalue's condition number in the
+   core lambda*E - A.  An eigenvalue whose first-order perturbation disk
    (radius from its condition number at the carried rank floor) is well
    apart from every other eigenvalue's disk is certified simple.  The rest
    are clustered, and the partial multiplicities of each true cluster and
@@ -36,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zggev
+from scipy.linalg.lapack import zgges, ztrtri
 
 from .core import EPS, Pencil, _kept, spectral_norm
 from .errors import PreconditionError, RankAmbiguityError
@@ -189,8 +193,7 @@ def _staircase_inf(E, A, kappa: float, scale: float, extra_floor: float = 0.0, s
 
     Works on the pencil lambda*E - A. Returns the step counts (s_k, t_k)
     where s_k = dim ker E and t_k = rank(A restricted to that kernel) at
-    step k, the deflated core whose lead has trivial kernel, and the
-    singular values of the last lead SVD.
+    step k, and the deflated core whose lead has trivial kernel.
     Rank cutoffs are relative to scale, the max(||E||, ||A||) of the input
     or of the pencil it was deflated from.
     svds keeps each SVD under the rank decisions that led to its matrix, so
@@ -206,7 +209,6 @@ def _staircase_inf(E, A, kappa: float, scale: float, extra_floor: float = 0.0, s
     s_list: list[int] = []
     t_list: list[int] = []
     path: tuple = ()
-    sv_e = np.zeros(0)
     while True:
         rows, cols = E.shape
         if cols == 0:
@@ -245,7 +247,7 @@ def _staircase_inf(E, A, kappa: float, scale: float, extra_floor: float = 0.0, s
         A = keep_rows.conj().T @ (A @ keep_cols)
         s_list.append(s)
         t_list.append(t)
-    return s_list, t_list, E, A, sv_e
+    return s_list, t_list, E, A
 
 
 def _counts_from_staircase(s_list, t_list):
@@ -345,34 +347,38 @@ def _cluster_multiplicities(
     floor = 2.0 * radius_abs * norm_e + carried_floor
     scale = _reused(shifted, "scale", lambda: max(spectral_norm(b), norm_e))
     try:
-        s_list, t_list, _, _, _ = _staircase_inf(b, E, kappa, scale, extra_floor=floor, svds=shifted)
+        s_list, t_list, _, _ = _staircase_inf(b, E, kappa, scale, extra_floor=floor, svds=shifted)
         minimal, sizes = _counts_from_staircase(s_list, t_list)
     except RankAmbiguityError:
         return None
     return None if minimal or sum(sizes) != count else sizes
 
 
-def _certified_eigenvalues(E, A, floor: float):
-    """Eigenvalues of lambda*E - A (E invertible), and which are certified simple.
+def _unsorted(alpha, beta):
+    """zgges's select callable; with sort_t=0 it is never called."""
+    return 0
 
-    QZ gives the right eigenvectors X; the rows y_i* of (E X)^-1 are left
-    eigenvectors with y_i* E x_j = delta_ij.  Perturbations of E and A of
-    norm at most floor move eigenvalue i by at most
-    r_i = |x_i| |y_i| (1 + |lambda_i|) floor to first order.  It is
-    certified simple when 8*(r_i + r_j) < |lambda_i - lambda_j| for every
-    j != i, so its disk is well apart from every other.  A split Jordan
-    block makes E X nearly singular, so its members are never certified,
-    and an exactly singular E X certifies nothing.
+
+def _eigenvalue_radii(E, A, floor: float):
+    """Eigenvalues of lambda*E - A (E invertible), with their first-order radii.
+
+    QZ gives the triangular pair S = Q* A Z, T = Q* E Z and no Schur
+    vectors.  Back substitution gives the right eigenvectors X of (S, T),
+    and the rows y_i* of (T X)^-1 are its left eigenvectors with
+    y_i* T x_j = delta_ij.  Q and Z are unitary, so Z x_i and Q y_i are
+    eigenvectors of the core with the same norms and pairing.  Perturbations
+    of E and A of norm at most floor move eigenvalue i by at most
+    r_i = |x_i| |y_i| (1 + |lambda_i|) floor to first order.  An exactly
+    repeated eigenvalue divides by zero, and its radius is inf or nan; so
+    may be the radii of the eigenvalues ordered before it, whose rows of
+    (T X)^-1 read its column.
     """
-    if E.size == 0:
-        # LAPACK takes no empty matrix
-        return np.zeros(0, dtype=np.complex128), np.zeros(0, dtype=bool)
-    # lwork from a query, as scipy.linalg.eig takes it, keeps the blocked QR
-    # path and so the bits of alpha and beta
-    lwork = int(zggev(A, E, compute_vl=0, lwork=-1)[-2][0].real)
-    alpha, beta, _, vr, _, info = zggev(A, E, compute_vl=0, lwork=lwork)
+    # lwork from a query, as scipy.linalg.eig takes it for ggev, keeps the
+    # blocked QR path and so the bits of alpha and beta
+    lwork = int(zgges(_unsorted, A, E, jobvsl=0, jobvsr=0, lwork=-1)[-2][0].real)
+    s, t, _, alpha, beta, _, _, _, info = zgges(_unsorted, A, E, jobvsl=0, jobvsr=0, lwork=lwork)
     if info:
-        raise np.linalg.LinAlgError(f"generalized eig algorithm (ggev) did not converge (LAPACK info={info})")
+        raise np.linalg.LinAlgError(f"generalized Schur algorithm (gges) did not converge (LAPACK info={info})")
     # the staircase kept sigma_min(E) above floor, and no diagonal entry of
     # the triangular factor of E is smaller than its sigma_min
     if np.any(np.abs(beta) <= floor):
@@ -381,20 +387,45 @@ def _certified_eigenvalues(E, A, floor: float):
             "rank tolerances likely misjudged the staircase"
         )
     values = alpha / beta
-    try:
-        left = np.linalg.inv(E @ vr)
-    except np.linalg.LinAlgError:
-        return values, np.zeros(len(values), dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore"):
+    n = len(values)
+    # column k solves (beta_k S - alpha_k T) x = 0 with x_k = 1 and x_j = 0
+    # below k; row j is solved for every column k > j at once
+    right = np.eye(n, dtype=np.complex128)
+    with np.errstate(all="ignore"):
+        for j in range(n - 2, -1, -1):
+            k = slice(j + 1, n)
+            below = right[k, k]
+            residual = beta[k] * (s[j, k] @ below) - alpha[k] * (t[j, k] @ below)
+            right[j, k] = -residual / (beta[k] * s[j, j] - alpha[k] * t[j, j])
+        # T X is upper triangular with diagonal beta, so it is invertible
+        left = ztrtri(t @ right)[0]
         radius = (
-            np.linalg.norm(vr, axis=0)
+            np.linalg.norm(right, axis=0)
             * np.linalg.norm(left, axis=1)
             * (1.0 + np.abs(values))
             * floor
         )
-    apart = 8.0 * (radius[:, None] + radius[None, :]) < np.abs(
-        values[:, None] - values[None, :]
-    )
+    return values, radius
+
+
+def _certified_eigenvalues(E, A, floor: float):
+    """Eigenvalues of lambda*E - A (E invertible), and which are certified simple.
+
+    Eigenvalue i is certified simple when its _eigenvalue_radii radius r_i
+    has 8*(r_i + r_j) < |lambda_i - lambda_j| for every j != i, so its disk
+    is well apart from every other.  A split Jordan block makes T X nearly
+    singular, so its members are never certified; an exactly repeated
+    eigenvalue has a radius of inf or nan, and every comparison with nan
+    fails, so none of its copies is.
+    """
+    if E.size == 0:
+        # LAPACK takes no empty matrix
+        return np.zeros(0, dtype=np.complex128), np.zeros(0, dtype=bool)
+    values, radius = _eigenvalue_radii(E, A, floor)
+    with np.errstate(all="ignore"):
+        apart = 8.0 * (radius[:, None] + radius[None, :]) < np.abs(
+            values[:, None] - values[None, :]
+        )
     np.fill_diagonal(apart, True)
     return values, apart.all(axis=1)
 
@@ -460,11 +491,12 @@ def _escalated_structure(p: Pencil) -> KroneckerStructure:
     # and accept only when the independent derivations agree.  A cluster's
     # cutoff is set by its radius, far above the kappa term, so the cluster
     # stage runs once, at the deciding kappa
+    norms = (p.norm("lead"), p.norm("constant"))
     last_error: RankAmbiguityError | None = None
     for mult in (1.0, 4.0, 16.0, 64.0):
         try:
             right, left, inf_sizes, cluster_args = _singular_stage(
-                E, A, rows, cols, KAPPA_SAFETY * mult, (p.norm("lead"), p.norm("constant"))
+                E, A, rows, cols, KAPPA_SAFETY * mult, norms, p.singular_values("lead")
             )
             break
         except RankAmbiguityError as err:
@@ -481,26 +513,28 @@ def _escalated_structure(p: Pencil) -> KroneckerStructure:
     )
 
 
-def _singular_stage(E, A, rows, cols, kappa: float, norms):
+def _singular_stage(E, A, rows, cols, kappa: float, norms, lead_sv):
     """(right, left, infinite sizes, _finite_structure arguments) at one kappa.
 
-    norms are the spectral norms of E and A (||-A|| is ||A||).
+    norms are the spectral norms of E and A (||-A|| is ||A||), and lead_sv
+    the singular values of E, descending.
     """
     # truncation garbage left in deflated cores is proportional to the scale
     # of the ORIGINAL pencil, so later phases must not trust core-local scale
     scale = max(norms)
     global_floor = kappa * EPS * max(rows, cols, 1) * scale
 
-    s1, t1, e_reg, a_reg, sv = _staircase_inf(E, A, kappa, scale)
-    right, inf_sizes = _counts_from_staircase(s1, t1)
-    if rows == cols and not s1:
-        # a square lead of full rank is the whole core; the transposed runs
-        # would redo this SVD, so only the left-deflation cutoff is applied
-        left = []
-        if _decide_rank(sv, rows, scale, kappa, global_floor, "lead kernel") < rows:
+    if rows == cols and _decide_rank(lead_sv, rows, scale, kappa, 0.0, "lead kernel") == rows:
+        # a square lead of full rank is the whole core: no staircase run has
+        # anything to deflate, so only the left-deflation cutoff is applied
+        right, left, inf_sizes = [], [], []
+        if _decide_rank(lead_sv, rows, scale, kappa, global_floor, "lead kernel") < rows:
             raise RankAmbiguityError("left-deflation cutoff finds a kernel in a full-rank lead")
+        e_reg, a_reg = E, A
     else:
-        s2, t2, _, _, _ = _staircase_inf(E.conj().T, A.conj().T, kappa, scale)
+        s1, t1, e_reg, a_reg = _staircase_inf(E, A, kappa, scale)
+        right, inf_sizes = _counts_from_staircase(s1, t1)
+        s2, t2, _, _ = _staircase_inf(E.conj().T, A.conj().T, kappa, scale)
         left_indep, inf_indep = _counts_from_staircase(s2, t2)
         if inf_indep != inf_sizes:
             raise RankAmbiguityError(
@@ -508,10 +542,11 @@ def _singular_stage(E, A, rows, cols, kappa: float, norms):
                 f"at infinity: {inf_sizes} vs {inf_indep}"
             )
 
-        # cutoffs at the core's own norms, plus global_floor at the input's scale
-        eh, ah = e_reg.conj().T, a_reg.conj().T
-        s3, t3, e2h, a2h, _ = _staircase_inf(
-            eh, ah, kappa, max(spectral_norm(eh), spectral_norm(ah)), extra_floor=global_floor
+        # cutoffs at the core's own norms (||X*|| is ||X||), plus global_floor
+        # at the input's scale
+        core_norms = (spectral_norm(e_reg), spectral_norm(a_reg))
+        s3, t3, e2h, a2h = _staircase_inf(
+            e_reg.conj().T, a_reg.conj().T, kappa, max(core_norms), extra_floor=global_floor
         )
         left, inf_leftover = _counts_from_staircase(s3, t3)
         if inf_leftover:
@@ -526,8 +561,9 @@ def _singular_stage(E, A, rows, cols, kappa: float, norms):
             )
         e_reg = e2h.conj().T
         a_reg = a2h.conj().T
-        # the core's norms are taken when a cluster first needs them
-        norms = None
+        # a core that run 3 left as it was keeps its norms; a deflated one has
+        # them taken when a cluster first needs them
+        norms = None if s3 else core_norms
         if e_reg.shape[0] != e_reg.shape[1]:
             raise RankAmbiguityError(
                 f"regular core is not square ({e_reg.shape[0]}x{e_reg.shape[1]}); "

@@ -250,6 +250,18 @@ def beta_thresholds(pp: PoshPencil) -> BetaThresholds:
     return _thresholds(pp.r1 + pp.r2, k, pp.norm("j1"))
 
 
+def pacman_betas(pp: PoshPencil) -> tuple:
+    """beta_plus and beta_minus of beta_thresholds(pp), without its lower bound.
+
+    They need neither the SVD of R1 + R2 that the lower bound takes nor the
+    norm of J1: a zero J1 makes both thresholds inf either way.
+    """
+    h0 = hermitian_part(pp.r1 + pp.r2)
+    if not is_positive_definite(h0):
+        return None, None
+    return _definiteness_thresholds(h0, hermitian_part(1j * pp.j1))
+
+
 def beta_thresholds_scaled(pp: PoshPencil, t: float) -> BetaThresholds:
     """Thresholds with R1 scaled by t; reports the strip bound when valid.
 

@@ -23,17 +23,25 @@ settings.load_profile("pencillab")
 
 @pytest.fixture
 def spectral_norm_calls(monkeypatch):
-    """The arrays passed to spectral_norm, patched in every pencillab module."""
+    """The arrays passed to spectral_norm and svdvals, patched in every pencillab module.
+
+    Coefficient norms come from the singular values that Pencil and
+    PoshPencil keep, so svdvals records each coefficient norm taken.
+    """
     from pencillab import core
 
     seen = []
-    spectral_norm = core.spectral_norm
 
-    def recording(a):
-        seen.append(np.array(a))
-        return spectral_norm(a)
+    def recording(function):
+        def recorded(a):
+            seen.append(np.array(a))
+            return function(a)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("pencillab.") and hasattr(module, "spectral_norm"):
-            monkeypatch.setattr(module, "spectral_norm", recording)
+        return recorded
+
+    for name in ("spectral_norm", "svdvals"):
+        wrapped = recording(getattr(core, name))
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("pencillab.") and hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapped)
     return seen

@@ -125,6 +125,26 @@ def test_numrange_outputs(dissipative_posh, tmp_path, capsys):
     assert svg.read_text().startswith("<svg")
 
 
+def test_numrange_takes_only_the_pencil_norms(dissipative_posh, tmp_path, monkeypatch, capsys):
+    # the regions need beta_plus and beta_minus only: no SVD of R1 + R2 for
+    # the lower bound, and no norm of J1
+    pp = load_pencil_file(dissipative_posh)[0]
+    svd, inputs = np.linalg.svd, []
+
+    def recording_svd(a, *args, **kwargs):
+        inputs.append(np.array(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    regions = tmp_path / "regions.json"
+    assert main(["numrange", dissipative_posh, "--samples", "50", "--regions", str(regions)]) == 0
+    capsys.readouterr()
+    p = pp.pencil()
+    assert len(inputs) == 2
+    assert all(any(np.array_equal(a, m) for a in inputs) for m in (p.lead, p.constant))
+    assert [r["type"] for r in json.loads(regions.read_text())] == ["pacman", "pacman"]
+
+
 def test_numrange_deterministic_for_seed(dissipative_posh, tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

@@ -13,6 +13,7 @@ from pencillab.core import (
     quadratic_forms,
     skew_part,
     spectral_norm,
+    svdvals,
     validate_posh,
 )
 from pencillab.errors import (
@@ -183,6 +184,29 @@ def test_spectral_norm_matches_numpy():
     for _ in range(10):
         m = rng.standard_normal((3, 5))
         assert abs(spectral_norm(m) - np.linalg.norm(m, 2)) < 1e-12
+
+
+def test_coefficient_norms_are_the_bits_of_numpy():
+    # norm(name) is the first of the kept singular values, one SVD without
+    # vectors; np.linalg.norm(., 2) takes the largest value of the same SVD
+    def numpy_norm(m):
+        return np.linalg.norm(m, 2) if m.size else 0.0
+
+    rng = np.random.default_rng(12)
+    for rows, cols in [(0, 0), (0, 3), (1, 1), (4, 4), (5, 3), (3, 7), (30, 30)]:
+        for is_complex in (False, True):
+            lead, constant = rng.standard_normal((2, rows, cols))
+            if is_complex:
+                lead, constant = lead + 1j * rng.standard_normal((rows, cols)), constant + 1j * lead
+            assert svdvals(lead)[:1].tolist() == ([np.linalg.norm(lead, 2)] if lead.size else [])
+            p = Pencil(lead, constant)
+            for name in ("lead", "constant"):
+                assert p.norm(name) == numpy_norm(getattr(p, name))
+            if rows == cols:
+                pp = posh_from_parts(lead - lead.T.conj(), lead @ lead.T.conj(), constant - constant.T.conj(), np.eye(rows))
+                for name in ("j1", "r1", "j2", "r2"):
+                    assert pp.norm(name) == numpy_norm(getattr(pp, name))
+                    assert not pp.singular_values(name).flags.writeable
 
 
 @pytest.mark.parametrize("n", [0, 1, 5])

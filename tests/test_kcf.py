@@ -288,8 +288,8 @@ def test_a_refusal_is_kept_and_raised_again(monkeypatch):
     assert len(calls) == 1
 
 
-def _two_sided_certification(E, A, floor):
-    """Certification from both QZ eigenvector sets and the pairing y* E x."""
+def _two_sided_radii(E, A, floor):
+    """Eigenvalues and radii from both QZ eigenvector sets and the pairing y* E x."""
     w, vl, vr = scipy.linalg.eig(A, E, left=True, right=True, homogeneous_eigvals=True)
     values = w[0] / w[1]
     pairing = np.abs(np.einsum("ij,ij->j", vl.conj(), E @ vr))
@@ -301,6 +301,12 @@ def _two_sided_certification(E, A, floor):
             * floor
             / pairing
         )
+    return values, radius
+
+
+def _two_sided_certification(E, A, floor):
+    """Certification from the two-sided radii."""
+    values, radius = _two_sided_radii(E, A, floor)
     apart = 8.0 * (radius[:, None] + radius[None, :]) < np.abs(values[:, None] - values[None, :])
     np.fill_diagonal(apart, True)
     return values, apart.all(axis=1)
@@ -333,6 +339,21 @@ def test_certification_matches_the_two_sided_reference():
             assert not mask.all(), name
 
 
+def test_radii_match_the_two_sided_reference():
+    # to 1e-8 relative.  The eigenvectors of a nearly defective eigenvalue
+    # are determined only to about its condition number times eps, so in
+    # the split-Jordan pencils (conditions up to 1e9) every radius may move
+    # by 1e3 times that; elsewhere the condition is below 20
+    for name, e, a in _certification_cases():
+        scale = max(spectral_norm(e), spectral_norm(a))
+        floor = KAPPA_SAFETY * EPS * e.shape[0] * scale
+        values, want = _two_sided_radii(e, a, floor)
+        condition = np.max(want / ((1.0 + np.abs(values)) * floor))
+        got_values, radius = kcf._eigenvalue_radii(e, a, floor)
+        assert np.array_equal(got_values, values), name
+        assert np.max(np.abs(radius - want) / want) <= 1e-8 + 1e3 * condition * EPS, name
+
+
 @pytest.mark.parametrize("n", [130, 200])
 def test_certified_eigenvalues_are_the_bits_of_scipy_eig(n):
     # past LAPACK's crossover to blocked QR, only the queried workspace
@@ -344,7 +365,7 @@ def test_certified_eigenvalues_are_the_bits_of_scipy_eig(n):
     assert np.array_equal(values, w[0] / w[1])
 
 
-def test_a_full_rank_lead_takes_one_svd_and_one_right_vector_qz(monkeypatch):
+def test_a_full_rank_lead_takes_no_svd_with_vectors_and_one_qz_without_schur_vectors(monkeypatch):
     n = 40
     rng = np.random.default_rng(n)
     g = rng.standard_normal((4, n, n)) + 1j * rng.standard_normal((4, n, n))
@@ -367,23 +388,29 @@ def test_a_full_rank_lead_takes_one_svd_and_one_right_vector_qz(monkeypatch):
 
         return counted
 
-    def counting_zggev(*args, **kwargs):
-        qz.append((kwargs["compute_vl"], kwargs.get("compute_vr", 1), kwargs["lwork"] == -1))
-        return zggev(*args, **kwargs)
+    def counting_zgges(*args, **kwargs):
+        qz.append((kwargs["jobvsl"], kwargs["jobvsr"], kwargs["lwork"] == -1))
+        return zgges(*args, **kwargs)
 
-    zggev = kcf.zggev
+    def no_inverse(a):
+        raise AssertionError("the left eigenvectors come from a triangular inverse")
+
+    zgges = kcf.zgges
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    monkeypatch.setattr(kcf, "zggev", counting_zggev)
+    monkeypatch.setattr(np.linalg, "inv", no_inverse)
+    monkeypatch.setattr(kcf, "zgges", counting_zgges)
     for module in (core, kcf):
         monkeypatch.setattr(module, "spectral_norm", counting_norm(module))
     calls = _count_rungs(monkeypatch)
     ks = kronecker_structure(p)
     assert ks.regular and [m for _, m in ks.finite_eigenstructure] == [(1,)] * n
     assert len(calls) == 1
-    assert svds == [True]
-    # the only spectral norms are the pencil's own, kept for later calls
-    assert norms == ["pencillab.core"] * 2
-    assert qz == [(0, 1, True), (0, 1, False)]
+    # the only SVDs are the singular values the pencil keeps for its norms,
+    # and the lead's rank is decided on them
+    assert svds == [False, False]
+    assert norms == []
+    assert qz == [(0, 0, True), (0, 0, False)]
+    assert not hasattr(kcf, "zggev")
 
 
 def test_no_matrix_is_decomposed_twice_in_one_extraction(monkeypatch):
@@ -443,12 +470,12 @@ def test_reused_decompositions_give_the_same_bits(monkeypatch):
 
     def recording_staircase(*args, **kwargs):
         try:
-            s_list, t_list, e, a, sv = staircase(*args, **kwargs)
+            s_list, t_list, e, a = staircase(*args, **kwargs)
         except RankAmbiguityError as err:
             log.append(str(err))
             raise
-        log.append((s_list, t_list, e.tobytes(), a.tobytes(), sv.tobytes()))
-        return s_list, t_list, e, a, sv
+        log.append((s_list, t_list, e.tobytes(), a.tobytes()))
+        return s_list, t_list, e, a
 
     def outcomes():
         log.clear()
@@ -492,15 +519,23 @@ def test_a_lead_at_the_left_deflation_cutoff_is_refused_at_the_first_rungs(monke
     assert ks.finite_eigenstructure == ((1.0, (1,)), (2.0, (1,)), (3.0, (1,)))
 
 
-def test_an_exactly_singular_eigenvector_basis_certifies_nothing(monkeypatch):
-    # no left eigenvectors, so no radius: every eigenvalue takes the staircase
-    def singular(m):
-        raise np.linalg.LinAlgError("Singular matrix")
-
-    monkeypatch.setattr(np.linalg, "inv", singular)
-    values, certified = _certified_eigenvalues(np.eye(2), np.diag([1.0, 4.0]), 1e-14)
-    assert sorted(values.real) == [1.0, 4.0]
+@pytest.mark.parametrize("a", [np.diag([2.0, 2.0]), np.array([[2.0, 1.0], [0.0, 2.0]])], ids=["semisimple", "jordan"])
+def test_an_exactly_repeated_eigenvalue_certifies_nothing(a):
+    # back substitution divides by zero; the inf or nan it leaves in the
+    # radius fails every comparison, and no floating-point error escapes
+    with np.errstate(all="raise"):
+        values, certified = _certified_eigenvalues(np.eye(2), a, 1e-14)
+    assert values.tolist() == [2.0, 2.0]
     assert not certified.any()
+
+
+def test_a_one_by_one_core_is_certified():
+    with np.errstate(all="raise"):
+        values, certified = _certified_eigenvalues(np.array([[2.0j]]), np.array([[3.0]]), 1e-14)
+    assert values.tolist() == [3.0 / 2.0j] and certified.tolist() == [True]
+    values, radius = kcf._eigenvalue_radii(np.array([[2.0j]]), np.array([[3.0]]), 1e-14)
+    # |x| = 1 and |y| = 1/|E|
+    assert radius[0] == pytest.approx(0.5 * (1.0 + 1.5) * 1e-14, rel=1e-15)
 
 
 @pytest.mark.parametrize("eigenvalue", [0.0, 2j])
@@ -562,13 +597,13 @@ def test_a_cluster_refusal_names_the_cluster_its_radius_and_kappa(monkeypatch):
     # the size-5 block at 0 stays unbalanced through the last radius round;
     # the refusal comes from the one QZ of the first rung
     p, _ = _split_jordan(5, seed=100, eigenvalue=0.0)
-    zggev, qz = kcf.zggev, []
+    zgges, qz = kcf.zgges, []
 
-    def counting_zggev(*args, **kwargs):
+    def counting_zgges(*args, **kwargs):
         qz.append(kwargs["lwork"] == -1)
-        return zggev(*args, **kwargs)
+        return zgges(*args, **kwargs)
 
-    monkeypatch.setattr(kcf, "zggev", counting_zggev)
+    monkeypatch.setattr(kcf, "zgges", counting_zgges)
     with pytest.raises(RankAmbiguityError) as refusal:
         kronecker_structure(p)
     assert qz == [True, False]
@@ -581,3 +616,37 @@ def test_a_cluster_refusal_names_the_cluster_its_radius_and_kappa(monkeypatch):
     assert float(relative) == pytest.approx(kcf.CLUSTER_RADIUS * 10.0 ** (kcf.CLUSTER_ROUNDS - 1))
     assert float(kappa) == KAPPA_SAFETY
 
+
+
+def test_no_norm_is_taken_twice_up_to_conjugate_transpose(monkeypatch):
+    # the left-deflation run reads the core's norms off the core as the first
+    # run left it, and a core that run deflates nothing passes them on to the
+    # cluster phase; ||X*|| and ||X|| may differ in their last bits, so X* is
+    # never normed in place of X
+    seen = []
+    taken = {name: getattr(core, name) for name in ("spectral_norm", "svdvals")}
+
+    def digest(a):
+        a = np.ascontiguousarray(a)
+        return hashlib.sha256(repr(a.shape).encode() + a.tobytes()).hexdigest()
+
+    def recording(function):
+        def recorded(a):
+            seen.append(min(digest(a), digest(a.conj().T)))
+            return function(a)
+
+        return recorded
+
+    for module in (core, kcf):
+        for name, function in taken.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, recording(function))
+    counts = []
+    for template in _CANONICAL_TEMPLATES:
+        seen.clear()
+        p, truth = assemble_pencil(_canonical_blocks(template, 1), transform_condition_cap=3.0, seed=1)
+        assert structures_match(kronecker_structure(p), truth)
+        assert len(seen) == len(set(seen))
+        counts.append(len(seen))
+    # template 0: the pencil's two, the core's two and five cluster shifts
+    assert counts[0] == 9

@@ -16,6 +16,7 @@ from pencillab.numrange import (
     definiteness_threshold,
     kernel_verdicts,
     nocommon_chain_report,
+    pacman_betas,
     pacman_excludes,
     rayleigh_point,
     sample_numerical_range,
@@ -207,6 +208,25 @@ def test_beta_thresholds_match_the_per_call_thresholds_bit_for_bit():
     assert bt.beta_minus == definiteness_threshold(h0, -k)
     assert bt.lower_bound == np.linalg.svd(h0, compute_uv=False)[-1] / np.linalg.norm(pp.j1, 2)
     assert 0.0 < bt.beta_plus < math.inf and 0.0 < bt.beta_minus < math.inf
+
+
+def test_pacman_betas_are_the_betas_of_beta_thresholds(spectral_norm_calls):
+    # definite, zero J1, indefinite R1 + R2 (R's of rank 1), and empty; no
+    # coefficient norm is taken
+    j = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    empty = np.zeros((0, 0))
+    pencils = [random_posh_pencil(np.random.default_rng(seed), 12, pd_sum=True) for seed in range(4)]
+    pencils += [
+        PoshPencil(np.zeros((2, 2)), np.eye(2), j, np.eye(2)),
+        PoshPencil(j, np.diag([1.0, 0.0]), j, np.diag([1.0, 0.0])),
+        PoshPencil(empty, empty, empty, empty),
+    ]
+    got = [pacman_betas(pp) for pp in pencils]
+    assert spectral_norm_calls == []
+    for pp, betas in zip(pencils, got):
+        bt = beta_thresholds(pp)
+        assert betas == (bt.beta_plus, bt.beta_minus)
+    assert got[4] == (math.inf, math.inf) and got[5] == (None, None)
 
 
 def test_beta_thresholds_take_only_the_norm_of_j1(spectral_norm_calls):
