@@ -18,9 +18,16 @@ The pencil is processed in the minus convention. Three deflation phases:
    core lambda*E - A.  An eigenvalue whose first-order perturbation disk
    (radius from its condition number at the carried rank floor) is well
    apart from every other eigenvalue's disk is certified simple.  The rest
-   are clustered, and the partial multiplicities of each true cluster and
-   each uncertified singleton are read off as the infinite structure of the
-   shifted-and-reversed pencil by the same staircase.
+   are clustered.  On the first cluster that needs a staircase, ztgsen
+   reorders (S, T) once, so that a leading block holds every eigenvalue
+   that a clustering round can group: all but the certified ones that are
+   alone at the last round's radius.  The partial multiplicities of each
+   true cluster and each uncertified singleton are read off as the infinite
+   structure of the shifted-and-reversed block by the same staircase, with
+   the cutoffs of the whole core.  The singular values of the whole shifted
+   core, which set its scale, also give the kernel that the block's first
+   staircase step must match, so a floor that reaches a left-out
+   eigenvalue does not balance.
 
 An independent transposed staircase run on the full pencil cross-checks the
 left minimal indices and the infinite structure; disagreement between the
@@ -29,10 +36,10 @@ answer.
 
 The kappa ladder retries only the singular stage: phases 1 and 2, the
 cross-check, and the QZ of phase 3 with its check for an eigenvalue at
-infinity.  The cluster stage runs once, at the deciding kappa; it escalates
-only the clustering radius, which also raises each cluster's rank floor, and
-a later round that reaches a shift and rank decisions already seen reuses
-their SVDs.
+infinity.  The cluster stage runs once, at the deciding kappa, on one
+reordered block; it escalates only the clustering radius, which also raises
+each cluster's rank floor, and a later round that reaches a shift and rank
+decisions already seen reuses their SVDs.
 """
 
 from __future__ import annotations
@@ -40,9 +47,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zgges, ztrtri
+from scipy.linalg.lapack import zgges, ztgsen, ztrtri
 
-from .core import EPS, Pencil, _kept, spectral_norm
+from .core import EPS, Pencil, _kept, spectral_norm, svdvals
 from .errors import PreconditionError, RankAmbiguityError
 
 # A singular value is kept when it exceeds kappa*dim*scale*EPS, dim and scale
@@ -138,6 +145,11 @@ class KroneckerStructure:
         return out
 
 
+def _cutoff(dim: int, scale: float, kappa: float, extra_floor: float) -> float:
+    """The largest singular value a rank decision drops."""
+    return dim * scale * EPS * kappa + extra_floor
+
+
 def _decide_rank(
     sv: np.ndarray,
     dim: int,
@@ -146,7 +158,7 @@ def _decide_rank(
     extra_floor: float,
     context: str,
 ) -> int:
-    tol = dim * scale * EPS * kappa + extra_floor
+    tol = _cutoff(dim, scale, kappa, extra_floor)
     rank = int(np.sum(sv > tol))
     if rank > 0 and float(sv[rank - 1]) < 8.0 * tol:
         # a kept value this close to the cutoff is indistinguishable from
@@ -188,14 +200,15 @@ def _reused(store: dict, key, compute):
     return store[key]
 
 
-def _staircase_inf(E, A, kappa: float, scale: float, extra_floor: float = 0.0, svds=None):
+def _staircase_inf(E, A, kappa: float, scale: float, extra_floor: float = 0.0, svds=None, dim=None):
     """Deflate the structure at infinity and the right singular part.
 
     Works on the pencil lambda*E - A. Returns the step counts (s_k, t_k)
     where s_k = dim ker E and t_k = rank(A restricted to that kernel) at
     step k, and the deflated core whose lead has trivial kernel.
     Rank cutoffs are relative to scale, the max(||E||, ||A||) of the input
-    or of the pencil it was deflated from.
+    or of the pencil it was deflated from, and to dim, its largest
+    dimension, which defaults to that of E.
     svds keeps each SVD under the rank decisions that led to its matrix, so
     a rerun of the same pencil at another floor decomposes only what its
     own decisions newly reach.
@@ -205,7 +218,7 @@ def _staircase_inf(E, A, kappa: float, scale: float, extra_floor: float = 0.0, s
     svds = {} if svds is None else svds
     # roundoff contaminates deflated submatrices at the scale of the whole
     # problem, so rank cutoffs keep the entry dimension even as steps shrink
-    dim0 = max(max(E.shape), 1)
+    dim0 = max(max(E.shape), 1) if dim is None else dim
     s_list: list[int] = []
     t_list: list[int] = []
     path: tuple = ()
@@ -322,36 +335,50 @@ def _union_find_clusters(values, factor):
 
 
 def _cluster_multiplicities(
-    E, A, rep, count, radius_abs, kappa, carried_floor, norm_e, norm_a, store
+    E, A, block, rep, count, radius_abs, kappa, carried_floor, norm_e, norm_a, store
 ):
     """Partial multiplicities of one eigenvalue cluster, or None on failure.
 
-    Reads the sizes as the infinite structure of lambda*(A - rep*E) - E at a
-    rank floor on the cluster radius scale.  They fail unless they account
-    for every cluster member; the caller then escalates the radius, and with
-    it the floor.  norm_e and norm_a are the spectral norms of E and A.  store keeps the scale and the staircase SVDs of each
-    shifted pencil, under its orientation and shift, for every round of the
-    caller.
+    Reads the sizes as the infinite structure of lambda*(S11 - rep*T11) - T11
+    at a rank floor on the cluster radius scale, where block is the leading
+    Schur pair (S11, T11) of the core lambda*E - A that holds every
+    eigenvalue any round can cluster.  The cutoffs are those of the whole
+    core: its dimension, the floor from ||E|| and the scale of A - rep*E.
+    The sizes fail unless they account for every cluster member and the
+    first step's kernel is that of A - rep*E at the same cutoff; the caller
+    then escalates the radius, and with it the floor.  norm_e and norm_a are
+    the spectral norms of E and A.  store keeps the singular values of
+    A - rep*E and the staircase SVDs of each shifted block, under its
+    orientation and shift, for every round of the caller.
     """
+    s11, t11 = block
     reverse = abs(rep) > 1.0 and radius_abs < abs(rep) / 2.0
     if reverse:
         # large eigenvalues are badly scaled under a direct shift; the
         # reversed pencil sees the same Jordan sizes at 1/rep, and the
         # cluster ball maps into one of quadratically smaller radius
-        E, A, norm_e, norm_a = A, E, norm_a, norm_e
+        E, A, norm_e, norm_a, s11, t11 = A, E, norm_a, norm_e, t11, s11
         rep, radius_abs = 1.0 / rep, 2.0 * radius_abs / abs(rep) ** 2
     shifted = store.setdefault((reverse, rep), {})
-    b = A - rep * E
-    # moving a cluster member to rep perturbs b by at most radius_abs * ||E||;
-    # scaling by ||b|| instead would double-count |rep| for large eigenvalues
+    # moving a cluster member to rep perturbs A - rep*E by at most
+    # radius_abs * ||E||; scaling by ||A - rep*E|| instead would double-count
+    # |rep| for large eigenvalues
     floor = 2.0 * radius_abs * norm_e + carried_floor
-    scale = _reused(shifted, "scale", lambda: max(spectral_norm(b), norm_e))
+    # the singular values of the whole shifted core give its norm, and the
+    # kernel that a staircase of the whole core would take first: an
+    # eigenvalue left out of the block that the floor reaches adds to it
+    core_sv = _reused(shifted, "core", lambda: svdvals(A - rep * E))
+    scale = max(float(core_sv[0]), norm_e)
+    dim = len(E)
+    kernel = int(np.sum(core_sv <= _cutoff(dim, scale, kappa, floor)))
     try:
-        s_list, t_list, _, _ = _staircase_inf(b, E, kappa, scale, extra_floor=floor, svds=shifted)
+        s_list, t_list, _, _ = _staircase_inf(
+            s11 - rep * t11, t11, kappa, scale, extra_floor=floor, svds=shifted, dim=dim
+        )
         minimal, sizes = _counts_from_staircase(s_list, t_list)
     except RankAmbiguityError:
         return None
-    return None if minimal or sum(sizes) != count else sizes
+    return None if minimal or sum(sizes) != count or s_list[:1] != [kernel] else sizes
 
 
 def _unsorted(alpha, beta):
@@ -359,8 +386,8 @@ def _unsorted(alpha, beta):
     return 0
 
 
-def _eigenvalue_radii(E, A, floor: float):
-    """Eigenvalues of lambda*E - A (E invertible), with their first-order radii.
+def _schur_radii(E, A, floor: float):
+    """Eigenvalues of lambda*E - A (E invertible), their first-order radii, and (S, T).
 
     QZ gives the triangular pair S = Q* A Z, T = Q* E Z and no Schur
     vectors.  Back substitution gives the right eigenvectors X of (S, T),
@@ -405,43 +432,81 @@ def _eigenvalue_radii(E, A, floor: float):
             * (1.0 + np.abs(values))
             * floor
         )
-    return values, radius
+    return values, radius, (s, t)
 
 
-def _certified_eigenvalues(E, A, floor: float):
-    """Eigenvalues of lambda*E - A (E invertible), and which are certified simple.
+def _eigenvalue_radii(E, A, floor: float):
+    """The eigenvalues and radii of _schur_radii, without the Schur pair."""
+    return _schur_radii(E, A, floor)[:2]
 
-    Eigenvalue i is certified simple when its _eigenvalue_radii radius r_i
-    has 8*(r_i + r_j) < |lambda_i - lambda_j| for every j != i, so its disk
-    is well apart from every other.  A split Jordan block makes T X nearly
+
+def _schur_certificate(E, A, floor: float):
+    """Eigenvalues of lambda*E - A (E invertible), which are certified simple, and (S, T).
+
+    Eigenvalue i is certified simple when its _schur_radii radius r_i has
+    8*(r_i + r_j) < |lambda_i - lambda_j| for every j != i, so its disk is
+    well apart from every other.  A split Jordan block makes T X nearly
     singular, so its members are never certified; an exactly repeated
     eigenvalue has a radius of inf or nan, and every comparison with nan
-    fails, so none of its copies is.
+    fails, so none of its copies is.  (S, T) is the triangular Schur pair
+    whose diagonal gives the eigenvalues.
     """
     if E.size == 0:
         # LAPACK takes no empty matrix
-        return np.zeros(0, dtype=np.complex128), np.zeros(0, dtype=bool)
-    values, radius = _eigenvalue_radii(E, A, floor)
+        return np.zeros(0, dtype=np.complex128), np.zeros(0, dtype=bool), (E, A)
+    values, radius, pair = _schur_radii(E, A, floor)
     with np.errstate(all="ignore"):
         apart = 8.0 * (radius[:, None] + radius[None, :]) < np.abs(
             values[:, None] - values[None, :]
         )
     np.fill_diagonal(apart, True)
-    return values, apart.all(axis=1)
+    return values, apart.all(axis=1), pair
 
 
-def _finite_structure(E, A, values, certified, kappa: float, carried_floor: float, norms):
+def _certified_eigenvalues(E, A, floor: float):
+    """The eigenvalues and certified mask of _schur_certificate, without the Schur pair."""
+    return _schur_certificate(E, A, floor)[:2]
+
+
+def _uncertified_block(values, certified, s, t):
+    """The leading block (S11, T11) of (S, T), reordered to hold every clusterable eigenvalue.
+
+    Only a certified eigenvalue that is a singleton at the last round's
+    radius is left out: no round can put it in a cluster, and a cluster at a
+    smaller radius lies inside one at the last.  Every member of a split
+    Jordan block is uncertified, so the block holds the whole ring.  When
+    nothing is left out, or when ztgsen cannot reorder the pair, the block
+    is the whole pair.
+    """
+    factor = CLUSTER_RADIUS * (10.0 ** (CLUSTER_ROUNDS - 1))
+    keep = np.ones(len(values), dtype=bool)
+    for members in _union_find_clusters(values, factor):
+        if len(members) == 1 and certified[members[0]]:
+            keep[members[0]] = False
+    if keep.all():
+        return s, t
+    eye = np.eye(len(values), dtype=np.complex128)
+    s2, t2, _, _, _, _, m, _, _, _, info = ztgsen(keep, s, t, eye, eye, ijob=0, wantq=0, wantz=0)
+    if info:
+        return s, t
+    return s2[:m, :m], t2[:m, :m]
+
+
+def _finite_structure(E, A, values, certified, pair, kappa: float, carried_floor: float, norms):
     """Clustered eigenvalues with partial multiplicities for a regular core.
 
-    values and certified are _certified_eigenvalues of the core.  A
+    values, certified and pair are _schur_certificate of the core.  A
     certified simple eigenvalue alone in its cluster has multiplicities
-    (1,); every other cluster runs the shifted staircase.  norms are the
-    spectral norms of E and A, or None to take them on first need.
+    (1,); every other cluster runs the shifted staircase on the block of
+    the triangular pair that _uncertified_block reorders once, on first
+    need, with the cutoffs of the whole core.  norms are the spectral norms
+    of E and A, or None to take them on first need.
     """
     # every round reads one scale and one set of staircase SVDs per shift: a
     # cluster that keeps its members keeps its shift, and only the cutoffs
     # change
     store: dict = {}
+    block = None
     for round_idx in range(CLUSTER_ROUNDS):
         factor = CLUSTER_RADIUS * (10.0 ** round_idx)
         result = []
@@ -449,12 +514,14 @@ def _finite_structure(E, A, values, certified, kappa: float, carried_floor: floa
             if len(members) == 1 and certified[members[0]]:
                 result.append((complex(values[members[0]]), (1,)))
                 continue
-            if norms is None:
-                norms = (spectral_norm(E), spectral_norm(A))
+            if block is None:
+                if norms is None:
+                    norms = (spectral_norm(E), spectral_norm(A))
+                block = _uncertified_block(values, certified, *pair)
             rep = complex(np.mean(values[members]))
             radius_abs = factor * (1.0 + abs(rep))
             mults = _cluster_multiplicities(
-                E, A, rep, len(members), radius_abs, kappa, carried_floor, *norms, store
+                E, A, block, rep, len(members), radius_abs, kappa, carried_floor, *norms, store
             )
             if mults is None:
                 break
@@ -569,8 +636,8 @@ def _singular_stage(E, A, rows, cols, kappa: float, norms, lead_sv):
                 f"regular core is not square ({e_reg.shape[0]}x{e_reg.shape[1]}); "
                 "rank tolerances misjudged the singular structure"
             )
-    values, certified = _certified_eigenvalues(e_reg, a_reg, global_floor)
-    return right, left, inf_sizes, (e_reg, a_reg, values, certified, kappa, global_floor, norms)
+    certificate = _schur_certificate(e_reg, a_reg, global_floor)
+    return right, left, inf_sizes, (e_reg, a_reg, *certificate, kappa, global_floor, norms)
 
 
 def structures_match(a: KroneckerStructure, b: KroneckerStructure) -> bool:

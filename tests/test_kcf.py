@@ -140,9 +140,9 @@ def test_eigenvalue_clustering_collapses_jitter():
     assert mults == (2, 2)
 
 
-def _clustered_posh(n):
+def _clustered_posh(n, rng=None):
     """PoshPencil(J1, 0.01 R1, 2 J1, 0.01 R2) with R1, R2 of rank n/2."""
-    rng = np.random.default_rng(n)
+    rng = np.random.default_rng(n) if rng is None else rng
 
     def gauss(cols):
         return rng.standard_normal((n, cols)) + 1j * rng.standard_normal((n, cols))
@@ -485,7 +485,7 @@ def test_reused_decompositions_give_the_same_bits(monkeypatch):
             scale = max(spectral_norm(e), spectral_norm(a))
             floor = KAPPA_SAFETY * EPS * e.shape[0] * scale
             try:
-                eigen = _certified_eigenvalues(e, a, floor)
+                eigen = kcf._schur_certificate(e, a, floor)
                 got[name] = kcf._finite_structure(e, a, *eigen, KAPPA_SAFETY, floor, None)
             except RankAmbiguityError as err:
                 got[name] = str(err)
@@ -591,6 +591,147 @@ def test_canonical_pencils_are_recovered():
         blocks = _canonical_blocks(_CANONICAL_TEMPLATES[t], seed)
         p, truth = assemble_pencil(blocks, transform_condition_cap=cond, seed=seed)
         assert structures_match(kronecker_structure(p), truth), (t, seed, cond)
+
+
+def test_cluster_staircases_run_on_the_block_of_clusterable_eigenvalues(monkeypatch):
+    # template 0 certifies its 20 simple eigenvalues, and the block leaves
+    # them out; only the values-only SVD of each shifted core, which sets
+    # the cutoffs of the whole core, is as large as the core
+    blocks = _canonical_blocks(_CANONICAL_TEMPLATES[0], 1)
+    p, truth = assemble_pencil(blocks, transform_condition_cap=3.0, seed=1)
+    svd, block_of, finite = np.linalg.svd, kcf._uncertified_block, kcf._finite_structure
+    seen, reordered, phase = [], [], []
+
+    def recording_svd(a, *args, **kwargs):
+        if phase:
+            seen.append((a.shape, kwargs.get("compute_uv", True)))
+        return svd(a, *args, **kwargs)
+
+    def recording_block(values, certified, s, t):
+        reordered.append((values, certified, block_of(values, certified, s, t)))
+        return reordered[-1][2]
+
+    def cluster_phase(*args):
+        phase.append(True)
+        return finite(*args)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    monkeypatch.setattr(kcf, "_uncertified_block", recording_block)
+    monkeypatch.setattr(kcf, "_finite_structure", cluster_phase)
+    assert structures_match(kronecker_structure(p), truth)
+    ((values, certified, (s11, t11)),) = reordered
+    n, k = len(values), len(s11)
+    last = kcf.CLUSTER_RADIUS * 10.0 ** (kcf.CLUSTER_ROUNDS - 1)
+    mag = np.abs(values)
+    reach = last * (1.0 + np.maximum(mag[:, None], mag[None, :]))
+    alone = ((np.abs(values[:, None] - values[None, :]) > reach) | np.eye(n, dtype=bool)).all(axis=1)
+    excluded = certified & alone
+    assert excluded.sum() == 20 and k == n - 20
+    inside = np.diag(s11) / np.diag(t11)
+    assert np.abs(values[excluded][:, None] - inside[None, :]).min() > last
+    staircase = [shape for shape, vectors in seen if vectors]
+    assert staircase and max(max(shape) for shape in staircase) <= k
+    assert {shape for shape, vectors in seen if not vectors} == {(n, n)}
+
+
+def _cluster_outcomes():
+    """Structure or refusal message of every case the block must not change."""
+    got = {}
+    for name, e, a in _certification_cases():
+        scale = max(spectral_norm(e), spectral_norm(a))
+        floor = KAPPA_SAFETY * EPS * e.shape[0] * scale
+        try:
+            certificate = kcf._schur_certificate(e, a, floor)
+            got[name] = kcf._finite_structure(e, a, *certificate, KAPPA_SAFETY, floor, None)
+        except RankAmbiguityError as err:
+            got[name] = str(err)
+    pencils = [
+        ((t, seed, cond), assemble_pencil(_canonical_blocks(_CANONICAL_TEMPLATES[t], seed), transform_condition_cap=cond, seed=seed)[0])
+        for t, seed, cond in itertools.product(range(len(_CANONICAL_TEMPLATES)), range(6), (3.0, 10.0))
+    ]
+    pencils += [
+        ((size, seed, eigenvalue), _split_jordan(size, seed, eigenvalue)[0])
+        for size, seed, eigenvalue in itertools.product((4, 5, 6), range(100, 104), (0.0, 2j, 0.5 - 1j))
+    ]
+    for name, p in pencils:
+        try:
+            ks = kronecker_structure(p)
+            got[name] = (ks.right_minimal_indices, ks.left_minimal_indices, ks.infinite_block_sizes, ks.finite_eigenstructure)
+        except RankAmbiguityError as err:
+            got[name] = str(err)
+    return got
+
+
+def test_the_block_and_the_whole_pair_give_the_same_structures_and_refusals(monkeypatch):
+    # a ztgsen that reports a failed reordering leaves the block the whole pair
+    block = _cluster_outcomes()
+    ztgsen, block_of, sizes, failed = kcf.ztgsen, kcf._uncertified_block, [], []
+
+    def failing(*args, **kwargs):
+        failed.append(True)
+        return (*ztgsen(*args, **kwargs)[:-1], 1)
+
+    def recording_block(values, certified, s, t):
+        pair = block_of(values, certified, s, t)
+        sizes.append((len(values), len(pair[0])))
+        return pair
+
+    monkeypatch.setattr(kcf, "ztgsen", failing)
+    monkeypatch.setattr(kcf, "_uncertified_block", recording_block)
+    assert _cluster_outcomes() == block
+    assert failed and all(k == n for n, k in sizes)
+    assert any(isinstance(outcome, str) for outcome in block.values())
+
+
+def test_a_split_size_4_jordan_block_refused_on_the_whole_core_is_recovered():
+    # on the whole core a simple eigenvalue left the staircase's rank
+    # decision in the ambiguous band at the radii that balance the block
+    p, truth = _split_jordan(4, 28)
+    ks = kronecker_structure(p)
+    assert structures_match(ks, truth)
+    assert [m for lam, m in ks.finite_eigenstructure if abs(lam - (0.5 - 1.0j)) < 1e-3] == [(4,)]
+
+
+def _clustered_half_pencil(n, seed):
+    """lambda*J1 + 0.01*R2 of a clustered posH pencil, drawn as the benchmark draws it."""
+    return _clustered_posh(n, np.random.default_rng([seed, 77, n])).half_pencil("j1", "r2")
+
+
+def _assert_semisimple_zero(p, ks):
+    n = p.lead.shape[0]
+    assert ks.regular and ks.index == 0
+    assert [m for lam, m in ks.finite_eigenstructure if abs(lam) < 1e-8] == [(1,) * (n // 2)]
+    rest = [(lam, m) for lam, m in ks.finite_eigenstructure if abs(lam) >= 1e-8]
+    assert all(m == (1,) for _, m in rest)
+    want = scipy.linalg.eigvals(-p.constant, p.lead)
+    want = want[np.abs(want) >= 1e-8]
+    assert len(rest) == len(want)
+    got = [lam for lam, _ in rest]
+    for value in want:
+        best = min(got, key=lambda z: abs(z - value))
+        assert abs(best - value) < 1e-8 * (1.0 + abs(value))
+        got.remove(best)
+
+
+@pytest.mark.parametrize("n, seed", [(40, 11), (48, 15), (48, 20)])
+def test_the_semisimple_zero_of_a_clustered_half_pencil_is_recovered(n, seed):
+    # J1 is invertible and R2 has rank n/2: zero is semisimple with n/2
+    # blocks, and every other eigenvalue is simple
+    p = _clustered_half_pencil(n, seed)
+    _assert_semisimple_zero(p, kronecker_structure(p))
+
+
+def test_a_floor_that_reaches_a_left_out_eigenvalue_does_not_balance():
+    # at relative radius 0.01 the zero cluster takes in two simple
+    # eigenvalues, and its floor reaches two certified ones that the block
+    # leaves out; the block alone would balance all six members as one
+    # semisimple eigenvalue.  A refusal is allowed, a wrong structure is not
+    p = _clustered_half_pencil(8, 20)
+    try:
+        ks = kronecker_structure(p)
+    except RankAmbiguityError:
+        return
+    _assert_semisimple_zero(p, ks)
 
 
 def test_a_cluster_refusal_names_the_cluster_its_radius_and_kappa(monkeypatch):
